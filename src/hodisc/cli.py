@@ -148,8 +148,7 @@ def _cmd_disc(args) -> int:
         points = read_point_file(args.infile, args.format)
     else:
         points = _generate(args)
-    exact = True if args.exact else None
-    value = warnock_l2(points, exact=exact)
+    value = warnock_l2(points, exact=args.exact)
     _emit([repr(value)], args.out)
     return EXIT_OK
 
@@ -159,8 +158,7 @@ def _cmd_scan(args) -> int:
     width = max((args.nmax - 1).bit_length(), 1)
     g = sequence_net(args.s, alpha, width)
     points = net_points(g, count=args.nmax)
-    exact = True if args.exact else None
-    report = warnock_scan(points, args.nmax, exact=exact)
+    report = warnock_scan(points, args.nmax, exact=args.exact)
     _emit(report.to_csv().splitlines(), args.out)
     return EXIT_OK
 
@@ -170,7 +168,13 @@ def _cmd_verify(args) -> int:
     t = args.t if args.t is not None else g.t_bound
     if t is None:
         raise ValueError("no formula bound available; pass --t")
-    t = min(t, args.alpha * args.m)
+    top = args.alpha * args.m
+    # every net meets t = alpha*m, so such a bound certifies nothing; a --t
+    # beyond it is left to find_dependency's range check (exit 64)
+    if t == top or (args.t is None and t > top):
+        print(f"trivial: order-{args.alpha} t={t} reaches alpha*m={top} "
+              f"(formula bound {g.t_bound}); nothing to search")
+        return EXIT_OK
     try:
         witness = find_dependency(g, args.alpha, t, budget=args.budget)
     except VerificationBudgetError as exc:

@@ -2,38 +2,35 @@
 
 The squared L2 discrepancy of points x_0..x_{N-1} in [0,1)^s is
 
-    3^-s - (2/N) sum_n prod_j (1 - x_nj^2)/2
-         + (1/N^2) sum_{n,m} prod_j (1 - max(x_nj, x_mj)).
+    3^-s - (2/N) S1 + S2/N^2,   S1 = sum_n prod_j (1 - x_nj^2)/2,
+                                S2 = sum_{n,m} prod_j (1 - max(x_nj, x_mj)).
 
-Kernels are evaluated in the fixed-point domain and converted to float
-once per point (1 - max(x,y) = min(1-x, 1-y), and float min commutes with
-correct rounding), with compensated summation on top.  An exact big-rational
-path is available behind a flag, or via HODISC_EXACT=1, for N <= 1024.
+One kernel evaluates it: a single pass over the points that yields S1 and
+S2 after every point, so the one-shot value is the prefix scan's last row.
+S1 is always an exact integer in the fixed-point domain.  S2 runs over
+per-dimension columns of 1 - x (1 - max(x,y) = min(1-x, 1-y)): Python
+integers in exact mode, which returns a Fraction for N <= 1024, and floats
+rounded once per point with compensated summation otherwise.  Float mode
+is thus a rounding of the exact expression, not a second formula.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import operator
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .points import DyadicPoint
 from .walsh import r_coeff, wal_vec
 
-EXACT_ENV = "HODISC_EXACT"
 EXACT_LIMIT = 1024
 SERIES_BUDGET = 200_000
-
-
-def _exact_requested(exact: bool | None) -> bool:
-    if exact is not None:
-        return exact
-    return os.environ.get(EXACT_ENV, "") == "1"
 
 
 def _normalize(points: Sequence[DyadicPoint]) -> tuple[list[tuple[int, ...]], int, int]:
@@ -72,86 +69,67 @@ class _Kahan:
         return self.total + self.comp
 
 
-def _single_product(num: tuple[int, ...], prec: int) -> float:
-    """prod_j (1 - x_j^2)/2, each factor exact in fixed point before rounding."""
-    one2 = 1 << (2 * prec)
-    acc = 1.0
-    for c in num:
-        acc *= (one2 - c * c) / (one2 << 1)
-    return acc
+def _prefix_sums(
+    nums: list[tuple[int, ...]], prec: int, s: int, exact: bool
+) -> Iterator[tuple[int, int, int | float]]:
+    """Yield (N, S1, S2) over the first N points, for N = 1, 2, ...
 
-
-def _complement_columns(nums: list[tuple[int, ...]], prec: int, s: int) -> list[np.ndarray]:
-    """Per dimension, float array of 1 - x (rounded once per point)."""
+    S1 is an int in units of 2^-s(2p+1).  S2 is an int in units of 2^-sp in
+    exact mode and a compensated float sum otherwise.  Point n adds its
+    kernel with each earlier point twice and with itself once.
+    """
+    if exact and len(nums) > EXACT_LIMIT:
+        raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
     one = 1 << prec
-    cols = []
-    for j in range(s):
-        cols.append(np.array([(one - row[j]) / one for row in nums], dtype=np.float64))
-    return cols
-
-
-def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool | None = None) -> float | Fraction:
-    """Squared L2 discrepancy; Fraction in exact mode, float otherwise."""
-    nums, prec, s = _normalize(points)
-    n = len(nums)
-    if _exact_requested(exact):
-        if n > EXACT_LIMIT:
-            raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
-        return _warnock_sq_exact(nums, prec, s, n)
-    return _warnock_sq_float(nums, prec, s, n)
-
-
-def _warnock_sq_exact(nums, prec, s, n) -> Fraction:
-    one = 1 << prec
-    one2 = 1 << (2 * prec)
+    if exact:
+        cols = [np.array([one - row[j] for row in nums], dtype=object) for j in range(s)]
+    else:
+        cols = [np.array([(one - row[j]) / one for row in nums]) for j in range(s)]
+    one2 = one * one
     s1 = 0
-    for row in nums:
-        term = 1
-        for c in row:
-            term *= one2 - c * c
-        s1 += term
     s2 = 0
-    for a in range(n):
-        ra = nums[a]
-        for b in range(a + 1, n):
-            rb = nums[b]
-            term = 1
-            for c, d in zip(ra, rb):
-                term *= one - (c if c > d else d)
-            s2 += term
-    s2 *= 2
-    for row in nums:
-        term = 1
-        for c in row:
-            term *= one - c
-        s2 += term
+    pairs = _Kahan()
+    for n, row_nums in enumerate(nums):
+        row = np.minimum(cols[0][:n], cols[0][n])
+        diag = cols[0][n]
+        for col in cols[1:]:
+            row *= np.minimum(col[:n], col[n])
+            diag *= col[n]
+        if exact:
+            s2 += 2 * row.sum() + diag
+        else:
+            pairs.add(2.0 * float(row.sum()) + float(diag))
+            s2 = pairs.value()
+        s1 += math.prod(one2 - c * c for c in row_nums)
+        yield n + 1, s1, s2
+
+
+def _warnock_value(
+    count: int, s1: int, s2: int | float, s: int, prec: int, exact: bool
+) -> float | Fraction:
+    """3^-s - (2/N) S1 + S2/N^2 from the sums of one prefix.
+
+    Float mode divides the exact S1 once (int/int division rounds
+    correctly) and clips a cancellation below zero.
+    """
+    div = Fraction if exact else operator.truediv
+    pair_unit = s * prec if exact else 0
     value = (
-        Fraction(1, 3**s)
-        - Fraction(2 * s1, n * (1 << (s * (2 * prec + 1))))
-        + Fraction(s2, n * n * (1 << (s * prec)))
+        div(1, 3**s)
+        - div(2 * s1, count << s * (2 * prec + 1))
+        + div(s2, count * count << pair_unit)
     )
-    return value
-
-
-def _warnock_sq_float(nums, prec, s, n) -> float:
-    singles = _Kahan()
-    for row in nums:
-        singles.add(_single_product(row, prec))
-    cols = _complement_columns(nums, prec, s)
-    pair_chunks = []
-    chunk = 256
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = np.minimum(cols[0][lo:hi, None], cols[0][None, :])
-        for j in range(1, s):
-            block = block * np.minimum(cols[j][lo:hi, None], cols[j][None, :])
-        pair_chunks.append(float(block.sum()))
-    s2 = math.fsum(pair_chunks)
-    value = 3.0**-s - 2.0 * singles.value() / n + s2 / (n * n)
     return max(value, 0.0)
 
 
-def warnock_l2(points: Sequence[DyadicPoint], exact: bool | None = None) -> float:
+def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool = False) -> float | Fraction:
+    """Squared L2 discrepancy; Fraction in exact mode, float otherwise."""
+    nums, prec, s = _normalize(points)
+    count, s1, s2 = deque(_prefix_sums(nums, prec, s, exact), maxlen=1).pop()
+    return _warnock_value(count, s1, s2, s, prec, exact)
+
+
+def warnock_l2(points: Sequence[DyadicPoint], exact: bool = False) -> float:
     """L2 discrepancy (square root of the Warnock expression)."""
     return math.sqrt(warnock_l2_sq(points, exact=exact))
 
@@ -208,7 +186,7 @@ def _ratios(n: int, l2: float, s: int) -> tuple[float, float]:
 
 
 def warnock_scan(
-    seq: Iterable[DyadicPoint], n_max: int, exact: bool | None = None
+    seq: Iterable[DyadicPoint], n_max: int, exact: bool = False
 ) -> DiscrepancyReport:
     """Prefix L2 for every N = 2..n_max of a point stream.
 
@@ -221,69 +199,9 @@ def warnock_scan(
     if len(points) < n_max:
         raise ValueError(f"stream ended after {len(points)} points, need {n_max}")
     nums, prec, s = _normalize(points)
-    if _exact_requested(exact):
-        if n_max > EXACT_LIMIT:
-            raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
-        return _scan_exact(nums, prec, s, n_max)
-    return _scan_float(nums, prec, s, n_max)
-
-
-def _scan_float(nums, prec, s, n_max) -> DiscrepancyReport:
-    cols = _complement_columns(nums, prec, s)
     report = DiscrepancyReport(s=s)
-    singles = _Kahan()
-    pair_acc = _Kahan()
-    inv3s = 3.0**-s
-    for n in range(n_max):
-        row = np.minimum(cols[0][:n], cols[0][n])
-        self_term = cols[0][n]
-        for j in range(1, s):
-            row = row * np.minimum(cols[j][:n], cols[j][n])
-            self_term *= cols[j][n]
-        pair_acc.add(2.0 * float(row.sum()) + float(self_term))
-        singles.add(_single_product(nums[n], prec))
-        count = n + 1
-        if count < 2:
-            continue
-        l2sq = inv3s - 2.0 * singles.value() / count + pair_acc.value() / (count * count)
-        l2 = math.sqrt(max(l2sq, 0.0))
-        roth, proinov = _ratios(count, l2, s)
-        report.rows.append(ScanRow(count, l2, sum_of_digits(count), roth, proinov))
-    return report
-
-
-def _scan_exact(nums, prec, s, n_max) -> DiscrepancyReport:
-    one = 1 << prec
-    one2 = 1 << (2 * prec)
-    comp = [tuple(one - c for c in row) for row in nums]
-    report = DiscrepancyReport(s=s)
-    s1 = 0
-    s2 = 0
-    for n in range(n_max):
-        rn = comp[n]
-        for m in range(n):
-            rm = comp[m]
-            term = 1
-            for c, d in zip(rn, rm):
-                term *= c if c < d else d
-            s2 += 2 * term
-        self_term = 1
-        for c in rn:
-            self_term *= c
-        s2 += self_term
-        term = 1
-        for c in nums[n]:
-            term *= one2 - c * c
-        s1 += term
-        count = n + 1
-        if count < 2:
-            continue
-        l2sq = (
-            Fraction(1, 3**s)
-            - Fraction(2 * s1, count * (1 << (s * (2 * prec + 1))))
-            + Fraction(s2, count * count * (1 << (s * prec)))
-        )
-        l2 = math.sqrt(l2sq)
+    for count, s1, s2 in islice(_prefix_sums(nums, prec, s, exact), 1, None):
+        l2 = math.sqrt(_warnock_value(count, s1, s2, s, prec, exact))
         roth, proinov = _ratios(count, l2, s)
         report.rows.append(ScanRow(count, l2, sum_of_digits(count), roth, proinov))
     return report

@@ -160,36 +160,6 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(bits, m.rows)
 
 
-def matvec_mask(m: BitMatrix, vbits: int) -> int:
-    """matvec on raw masks; callers guarantee vbits fits m.cols."""
-    bits = 0
-    for i, rowmask in enumerate(m.data):
-        bits |= _parity(rowmask & vbits) << i
-    return bits
-
-
-def rank(m: BitMatrix) -> int:
-    """Row rank over GF(2) by Gaussian elimination on a copy."""
-    work = list(m.data)
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> col) & 1):
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of the right null space {v : M v = 0}; size = cols - rank."""
     work = list(m.data)
@@ -222,6 +192,11 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
                 bits |= 1 << pc
         basis.append(BitVector(bits, m.cols))
     return basis
+
+
+def rank(m: BitMatrix) -> int:
+    """Row rank over GF(2), by rank-nullity from the kernel basis."""
+    return m.cols - len(kernel_basis(m))
 
 
 def stack_transposed(ms: Sequence[BitMatrix]) -> BitMatrix:

@@ -71,10 +71,6 @@ class DyadicPoint:
         denom = 1 << self.precision
         return tuple(c / denom for c in self.coords)
 
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        denom = 1 << self.precision
-        return tuple(Fraction(c, denom) for c in self.coords)
-
 
 def _column_numerators(g: GeneratingMatrixSet) -> list[list[int]]:
     """Per coordinate, column l of the matrix read as a digit numerator.

@@ -106,6 +106,16 @@ def test_verify_certified_exit_zero(capsys):
     assert "certified" in out
 
 
+def test_verify_never_certifies_a_trivial_or_out_of_range_t(capsys):
+    # the order-3 formula bound 66 exceeds alpha*m = 24: nothing to search
+    code, out, _ = run(capsys, "verify", "--s", "3", "--alpha", "3", "--m", "8")
+    assert code == EXIT_OK
+    assert out.startswith("trivial:") and "certified" not in out
+    code, out, err = run(capsys, "verify", "--s", "2", "--alpha", "1", "--m", "4", "--t", "99")
+    assert code == EXIT_USAGE
+    assert "certified" not in out and "out of range" in err
+
+
 def test_verify_violation_exit_two(capsys):
     # three order-1 dimensions cannot reach t = 0
     code, out, _ = run(capsys, "verify", "--s", "3", "--alpha", "1", "--m", "4", "--t", "0")

@@ -57,11 +57,14 @@ def test_float_matches_1d_oracle_on_random_sets():
 
 def test_exact_and_float_agree():
     rng = random.Random(4)
-    for s in (1, 2):
-        pts = random_pointset(rng, s, 256, 16)
-        fe = warnock_l2(pts)
-        ex = warnock_l2(pts, exact=True)
-        assert fe == pytest.approx(ex, abs=1e-12)
+    for s in (1, 2, 3):
+        for n in (256, 1024):
+            pts = random_pointset(rng, s, n, 16)
+            fe = warnock_l2(pts)
+            ex = warnock_l2(pts, exact=True)
+            assert fe == pytest.approx(ex, abs=1e-12)
+            err = abs(Fraction(warnock_l2_sq(pts)) - warnock_l2_sq(pts, exact=True))
+            assert err <= 4 * Fraction(math.ulp(3.0**-s))
 
 
 def test_permutation_invariance():
@@ -70,12 +73,6 @@ def test_permutation_invariance():
     shuffled = pts[:]
     rng.shuffle(shuffled)
     assert warnock_l2(pts) == pytest.approx(warnock_l2(shuffled), abs=1e-14)
-
-
-def test_exact_mode_env(monkeypatch):
-    monkeypatch.setenv("HODISC_EXACT", "1")
-    value = warnock_l2_sq([DyadicPoint((0,), 1)])
-    assert value == Fraction(1, 3)
 
 
 def test_exact_mode_size_cap():
@@ -93,11 +90,14 @@ def test_mixed_precision_points_are_padded():
 
 
 def test_scan_prefixes_match_one_shot():
-    pts = net_points(sequence_net(1, 1, 7))
-    report = warnock_scan(pts, 100)
-    by_n = {r.n: r for r in report.rows}
-    for n in (3, 17, 64):
-        assert by_n[n].l2 == pytest.approx(warnock_l2(pts[:n]), abs=1e-13)
+    for s in (1, 2, 3):
+        pts = net_points(sequence_net(s, 1, 7))
+        report = warnock_scan(pts, 100)
+        exact = {r.n: r for r in warnock_scan(pts, 100, exact=True).rows}
+        by_n = {r.n: r for r in report.rows}
+        for n in (3, 17, 64, 100):
+            assert by_n[n].l2 == pytest.approx(warnock_l2(pts[:n]), abs=1e-13)
+            assert exact[n].l2 == math.sqrt(warnock_l2_sq(pts[:n], exact=True))
 
 
 def test_scan_row_structure():
