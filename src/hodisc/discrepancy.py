@@ -5,13 +5,19 @@ The squared L2 discrepancy of points x_0..x_{N-1} in [0,1)^s is
     3^-s - (2/N) S1 + S2/N^2,   S1 = sum_n prod_j (1 - x_nj^2)/2,
                                 S2 = sum_{n,m} prod_j (1 - max(x_nj, x_mj)).
 
-One kernel evaluates it: a single pass over the points that yields S1 and
-S2 after every point, so the one-shot value is the prefix scan's last row.
-S1 is always an exact integer in the fixed-point domain.  S2 runs over
-per-dimension columns of 1 - x (1 - max(x,y) = min(1-x, 1-y)): Python
-integers in exact mode, which returns a Fraction for N <= 1024, and floats
-rounded once per point with compensated summation otherwise.  Float mode
-is thus a rounding of the exact expression, not a second formula.
+S1 is always an exact integer in the fixed-point domain, and S2 runs over
+per-dimension columns of 1 - x (1 - max(x,y) = min(1-x, 1-y)).  Two kernels
+compute S2, chosen by the dimension and by one-shot versus scan:
+
+* the dominance sweep (Heinrich, Math. Comp. 65, 1996) for one-shots with
+  s <= 2 and scans with s = 1: O(N log N) exact integer operations over
+  log N levels of int64 sorts, with no size limit.  Both modes close with one integer numerator over one integer
+  denominator, so float mode returns the correctly rounded exact value;
+* the O(N^2 s) row loop for scans with s >= 2 and one-shots with s >= 3:
+  one pass that yields S1 and S2 after every point, so the one-shot value
+  is the scan's last row.  Exact mode keeps Python integers and returns a
+  Fraction for N <= EXACT_LIMIT; float mode rounds once per point with
+  compensated summation.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -122,9 +128,108 @@ def _warnock_value(
     return max(value, 0.0)
 
 
+def _dominance_sums(b: np.ndarray) -> np.ndarray:
+    """T[k] = sum_{l>k} min(b[k], b[l]) for an object array of Python ints.
+
+    Works bottom-up over positions like a merge sort: at each width every
+    left half-block adds its sums against the right half-block next to it.
+    Right halves sorted by (block, rank of b) give, by binary search, each
+    left point's block, the right points below it and their prefix sum.
+    Tied values may fall on either side, as min(v, v) = v.
+    """
+    n = len(b)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(b, kind="stable")] = np.arange(n)
+    pos = np.arange(n)
+    sums = np.zeros(n, dtype=object)
+    half = 1
+    while half < n:
+        block = pos // (2 * half)
+        key = block * n + rank
+        right = (pos & half) != 0
+        left = ~right
+        rkey = key[right]
+        order = np.argsort(rkey)
+        rkey = rkey[order]
+        csum = np.concatenate(([0], np.cumsum(b[right][order])))
+        lo = block[left] * n
+        start = np.searchsorted(rkey, lo)
+        stop = np.searchsorted(rkey, lo + n)
+        cut = np.searchsorted(rkey, key[left])
+        # two updates keep one array of new big ints alive at a time, not two
+        sums[left] += csum[cut] - csum[start]
+        sums[left] += b[left] * (stop - cut)
+        half *= 2
+    return sums
+
+
+def _complements(nums: list[tuple[int, ...]], prec: int, j: int) -> np.ndarray:
+    """1 - x_j of every point as Python ints in units of 2^-prec."""
+    one = 1 << prec
+    return np.array([one - row[j] for row in nums], dtype=object)
+
+
+def _point_terms(nums: list[tuple[int, ...]], prec: int) -> Iterator[int]:
+    """prod_j (1 - x_j^2)/2 of every point, in units of 2^-s(2p+1)."""
+    one2 = 1 << 2 * prec
+    return (math.prod(one2 - c * c for c in row) for row in nums)
+
+
+def _sweep_pair_sum(nums: list[tuple[int, ...]], prec: int, s: int) -> int:
+    """Exact S2 for s <= 2 by one dominance sweep.
+
+    At s = 2 the points are sorted by a = 1 - x_1, so min(a_k, a_l) = a_k
+    for k < l and S2 = 2 sum_k a_k T_k + sum_k a_k b_k with T over b = 1 - x_2.
+    """
+    a = _complements(nums, prec, 0)
+    if s == 1:
+        return 2 * _dominance_sums(a).sum() + a.sum()
+    order = np.argsort(a, kind="stable")
+    a = a[order]
+    b = _complements(nums, prec, 1)[order]
+    return 2 * a.dot(_dominance_sums(b)) + a.dot(b)
+
+
+def _sweep_prefix_sums(
+    nums: list[tuple[int, ...]], prec: int
+) -> Iterator[tuple[int, int, int]]:
+    """(N, S1, S2) over every prefix of a 1-d point list, all exact ints.
+
+    The sweep over the reversed list sums each point's kernel with every
+    earlier point, so point n adds 2 T_n + b_n to S2.
+    """
+    b = _complements(nums, prec, 0)
+    earlier = _dominance_sums(b[::-1])[::-1]
+    return zip(
+        range(1, len(nums) + 1),
+        accumulate(_point_terms(nums, prec)),
+        np.cumsum(2 * earlier + b),
+    )
+
+
+def _rational_value(
+    count: int, s1: int, s2: int, s: int, prec: int, exact: bool
+) -> float | Fraction:
+    """3^-s - (2/N) S1 + S2/N^2 as one integer numerator over one integer
+    denominator: a Fraction in exact mode, and otherwise the float that
+    int/int division rounds correctly from it."""
+    three = 3**s
+    scale = s * (2 * prec + 1)
+    num = (
+        (count * count << scale)
+        - 2 * three * count * s1
+        + (three * s2 << s * (prec + 1))
+    )
+    den = three * count * count << scale
+    return Fraction(num, den) if exact else num / den
+
+
 def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool = False) -> float | Fraction:
     """Squared L2 discrepancy; Fraction in exact mode, float otherwise."""
     nums, prec, s = _normalize(points)
+    if s <= 2:
+        s1 = sum(_point_terms(nums, prec))
+        return _rational_value(len(nums), s1, _sweep_pair_sum(nums, prec, s), s, prec, exact)
     count, s1, s2 = deque(_prefix_sums(nums, prec, s, exact), maxlen=1).pop()
     return _warnock_value(count, s1, s2, s, prec, exact)
 
@@ -190,8 +295,11 @@ def warnock_scan(
 ) -> DiscrepancyReport:
     """Prefix L2 for every N = 2..n_max of a point stream.
 
-    Keeps running single-sum and pairwise-kernel accumulators, so the whole
-    scan costs O(n_max^2 * s) kernel evaluations.
+    At s = 1 the dominance sweep gives every prefix's exact sums in
+    O(n_max log n_max), and each row is the square root of the correctly
+    rounded exact value in both modes.  At s >= 2 the row loop keeps running
+    accumulators, so the scan costs O(n_max^2 * s) kernel evaluations and
+    exact mode is limited to EXACT_LIMIT points.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -199,9 +307,13 @@ def warnock_scan(
     if len(points) < n_max:
         raise ValueError(f"stream ended after {len(points)} points, need {n_max}")
     nums, prec, s = _normalize(points)
+    if s == 1:
+        prefixes, close = _sweep_prefix_sums(nums, prec), _rational_value
+    else:
+        prefixes, close = _prefix_sums(nums, prec, s, exact), _warnock_value
     report = DiscrepancyReport(s=s)
-    for count, s1, s2 in islice(_prefix_sums(nums, prec, s, exact), 1, None):
-        l2 = math.sqrt(_warnock_value(count, s1, s2, s, prec, exact))
+    for count, s1, s2 in islice(prefixes, 1, None):
+        l2 = math.sqrt(close(count, s1, s2, s, prec, exact))
         roth, proinov = _ratios(count, l2, s)
         report.rows.append(ScanRow(count, l2, sum_of_digits(count), roth, proinov))
     return report

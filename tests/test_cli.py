@@ -87,6 +87,20 @@ def test_disc_exact_matches_float(capsys):
     assert abs(float(flo) - float(exa)) < 1e-13
 
 
+def test_disc_exact_beyond_the_row_loop_cap(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen", "--s", "2", "--alpha", "2", "--m", "11")
+    pointfile = tmp_path / "pts.txt"
+    pointfile.write_text(out)
+    code, flo, _ = run(capsys, "disc", "--in", str(pointfile))
+    code2, exa, _ = run(capsys, "disc", "--in", str(pointfile), "--exact")
+    assert code == code2 == EXIT_OK
+    assert exa == flo
+    # scans at s >= 2 still run the row loop, whose exact mode is capped
+    code, _, err = run(capsys, "scan", "--s", "2", "--nmax", "1100", "--exact")
+    assert code == EXIT_USAGE
+    assert "1024" in err
+
+
 def test_scan_csv_shape_and_round_trip(capsys):
     code, out, _ = run(capsys, "scan", "--s", "2", "--alpha", "2", "--nmax", "64")
     assert code == EXIT_OK

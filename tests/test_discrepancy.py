@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodisc.discrepancy import (
     DiscrepancyReport,
@@ -58,13 +59,21 @@ def test_float_matches_1d_oracle_on_random_sets():
 def test_exact_and_float_agree():
     rng = random.Random(4)
     for s in (1, 2, 3):
-        for n in (256, 1024):
+        # the sweep (s <= 2) has no size cap; the row loop stops at 1024 points
+        for n in (256, 1024) + ((4096,) if s <= 2 else ()):
             pts = random_pointset(rng, s, n, 16)
             fe = warnock_l2(pts)
             ex = warnock_l2(pts, exact=True)
             assert fe == pytest.approx(ex, abs=1e-12)
-            err = abs(Fraction(warnock_l2_sq(pts)) - warnock_l2_sq(pts, exact=True))
-            assert err <= 4 * Fraction(math.ulp(3.0**-s))
+            exact = warnock_l2_sq(pts, exact=True)
+            if s <= 2:
+                assert warnock_l2_sq(pts) == float(exact)
+            else:
+                err = abs(Fraction(warnock_l2_sq(pts)) - exact)
+                assert err <= 4 * Fraction(math.ulp(3.0**-s))
+    pts = random_pointset(rng, 1, 256, 16)
+    for row in warnock_scan(pts, 256).rows:
+        assert row.l2 == math.sqrt(float(warnock_l2_sq(pts[: row.n], exact=True)))
 
 
 def test_permutation_invariance():
@@ -76,9 +85,45 @@ def test_permutation_invariance():
 
 
 def test_exact_mode_size_cap():
-    pts = [DyadicPoint((n % 16,), 4) for n in range(1025)]
+    # EXACT_LIMIT binds only the row loop: one-shots at s >= 3, scans at s >= 2
     with pytest.raises(ValueError):
-        warnock_l2_sq(pts, exact=True)
+        warnock_l2_sq([DyadicPoint((n % 16, n % 5, n % 7), 4) for n in range(1025)], exact=True)
+    with pytest.raises(ValueError):
+        warnock_scan([DyadicPoint((n % 16, n % 5), 4) for n in range(1025)], 1025, exact=True)
+    one_d = [DyadicPoint((n % 16,), 4) for n in range(1025)]
+    value = warnock_l2_sq(one_d, exact=True)
+    assert isinstance(value, Fraction)
+    assert math.sqrt(value) == quadrature_oracle_l2(one_d)
+    two_d = [DyadicPoint((n % 16, n % 9), 4) for n in range(1025)]
+    assert isinstance(warnock_l2_sq(two_d, exact=True), Fraction)
+
+
+def _tied_points(s: int):
+    """1 to 40 points of mixed precision 0..70 whose coordinates come from
+    {0, 1/4, 1/2, 1 - 2^-p}, so ties in every coordinate are common."""
+    def point(p):
+        top = 1 << p
+        coord = st.sampled_from([0, top // 4, top // 2, top - 1])
+        return st.tuples(*[coord] * s).map(lambda c: DyadicPoint(c, p))
+
+    return st.lists(st.integers(0, 70).flatmap(point), min_size=1, max_size=40)
+
+
+def _definition_l2_sq(points) -> Fraction:
+    """3^-s - (2/N) sum prod (1 - x^2)/2 + (1/N^2) sum_{n,m} prod min(1 - x_n, 1 - x_m)."""
+    xs = [[Fraction(c, 1 << pt.precision) for c in pt.coords] for pt in points]
+    n, s = len(xs), len(xs[0])
+    single = sum(math.prod((1 - x * x) / 2 for x in row) for row in xs)
+    pair = sum(math.prod(min(1 - x, 1 - y) for x, y in zip(u, v)) for u in xs for v in xs)
+    return Fraction(1, 3**s) - 2 * single / n + pair / (n * n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2).flatmap(_tied_points))
+def test_sweep_matches_definition(points):
+    exact = warnock_l2_sq(points, exact=True)
+    assert exact == _definition_l2_sq(points)
+    assert warnock_l2_sq(points) == float(exact)
 
 
 def test_mixed_precision_points_are_padded():
