@@ -24,7 +24,7 @@ from .genmat import (
     t_reduced,
     truncate,
 )
-from .gf2 import BitMatrix, BitVector, kernel_basis, matvec, rank, stack_transposed
+from .gf2 import BitMatrix, kernel_basis, matvec, rank, stack_transposed
 from .gf2poly import Gf2Poly, is_primitive, laurent_expand, poly_mul, primitive_polys
 from .netverify import (
     DualNetBasis,
@@ -53,7 +53,6 @@ from .walsh import WalshIndex, mu, mu_alpha, mu_vec, r_coeff, r_coeff_oracle, wa
 
 __all__ = [
     "BitMatrix",
-    "BitVector",
     "DiscrepancyReport",
     "DualNetBasis",
     "Dyadic",

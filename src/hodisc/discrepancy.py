@@ -11,19 +11,22 @@ compute S2, chosen by the dimension and by one-shot versus scan:
 
 * the dominance sweep (Heinrich, Math. Comp. 65, 1996) for one-shots with
   s <= 2 and scans with s = 1: O(N log N) exact integer operations over
-  log N levels of int64 sorts, with no size limit.  Both modes close with one integer numerator over one integer
-  denominator, so float mode returns the correctly rounded exact value;
+  log N levels of int64 sorts, with no size limit;
 * the O(N^2 s) row loop for scans with s >= 2 and one-shots with s >= 3:
-  one pass that yields S1 and S2 after every point, so the one-shot value
-  is the scan's last row.  Exact mode keeps Python integers and returns a
-  Fraction for N <= EXACT_LIMIT; float mode rounds once per point with
-  compensated summation.
+  one pass that yields S2 after every point, so the one-shot value is the
+  scan's last row.  Exact mode keeps Python integers and is limited to
+  N <= EXACT_LIMIT; float mode rounds once per point with compensated
+  summation.
+
+An exact S2 closes with one integer numerator over one integer denominator:
+a Fraction in exact mode, otherwise the float that division rounds
+correctly from it, so the sweep's float is the rounded exact value.  Only
+the float row loop closes in floating point.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,12 +80,12 @@ class _Kahan:
 
 def _prefix_sums(
     nums: list[tuple[int, ...]], prec: int, s: int, exact: bool
-) -> Iterator[tuple[int, int, int | float]]:
-    """Yield (N, S1, S2) over the first N points, for N = 1, 2, ...
+) -> Iterator[int | float]:
+    """Yield S2 over the first N points, for N = 1, 2, ...
 
-    S1 is an int in units of 2^-s(2p+1).  S2 is an int in units of 2^-sp in
-    exact mode and a compensated float sum otherwise.  Point n adds its
-    kernel with each earlier point twice and with itself once.
+    S2 is an int in units of 2^-sp in exact mode and a compensated float
+    sum otherwise.  Point n adds its kernel with each earlier point twice
+    and with itself once.
     """
     if exact and len(nums) > EXACT_LIMIT:
         raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
@@ -91,11 +94,9 @@ def _prefix_sums(
         cols = [np.array([one - row[j] for row in nums], dtype=object) for j in range(s)]
     else:
         cols = [np.array([(one - row[j]) / one for row in nums]) for j in range(s)]
-    one2 = one * one
-    s1 = 0
     s2 = 0
     pairs = _Kahan()
-    for n, row_nums in enumerate(nums):
+    for n in range(len(nums)):
         row = np.minimum(cols[0][:n], cols[0][n])
         diag = cols[0][n]
         for col in cols[1:]:
@@ -106,25 +107,16 @@ def _prefix_sums(
         else:
             pairs.add(2.0 * float(row.sum()) + float(diag))
             s2 = pairs.value()
-        s1 += math.prod(one2 - c * c for c in row_nums)
-        yield n + 1, s1, s2
+        yield s2
 
 
-def _warnock_value(
-    count: int, s1: int, s2: int | float, s: int, prec: int, exact: bool
-) -> float | Fraction:
-    """3^-s - (2/N) S1 + S2/N^2 from the sums of one prefix.
+def _warnock_value(count: int, s1: int, s2: float, s: int, prec: int) -> float:
+    """3^-s - (2/N) S1 + S2/N^2 in float from the row loop's float S2.
 
-    Float mode divides the exact S1 once (int/int division rounds
-    correctly) and clips a cancellation below zero.
+    The exact S1 is divided once (int/int division rounds correctly), and a
+    cancellation below zero is clipped.
     """
-    div = Fraction if exact else operator.truediv
-    pair_unit = s * prec if exact else 0
-    value = (
-        div(1, 3**s)
-        - div(2 * s1, count << s * (2 * prec + 1))
-        + div(s2, count * count << pair_unit)
-    )
+    value = 1 / 3**s - 2 * s1 / (count << s * (2 * prec + 1)) + s2 / (count * count)
     return max(value, 0.0)
 
 
@@ -190,21 +182,15 @@ def _sweep_pair_sum(nums: list[tuple[int, ...]], prec: int, s: int) -> int:
     return 2 * a.dot(_dominance_sums(b)) + a.dot(b)
 
 
-def _sweep_prefix_sums(
-    nums: list[tuple[int, ...]], prec: int
-) -> Iterator[tuple[int, int, int]]:
-    """(N, S1, S2) over every prefix of a 1-d point list, all exact ints.
+def _sweep_prefix_sums(nums: list[tuple[int, ...]], prec: int) -> np.ndarray:
+    """Exact S2 of every prefix of a 1-d point list, as Python ints.
 
     The sweep over the reversed list sums each point's kernel with every
     earlier point, so point n adds 2 T_n + b_n to S2.
     """
     b = _complements(nums, prec, 0)
     earlier = _dominance_sums(b[::-1])[::-1]
-    return zip(
-        range(1, len(nums) + 1),
-        accumulate(_point_terms(nums, prec)),
-        np.cumsum(2 * earlier + b),
-    )
+    return np.cumsum(2 * earlier + b)
 
 
 def _rational_value(
@@ -228,10 +214,13 @@ def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool = False) -> float |
     """Squared L2 discrepancy; Fraction in exact mode, float otherwise."""
     nums, prec, s = _normalize(points)
     if s <= 2:
-        s1 = sum(_point_terms(nums, prec))
-        return _rational_value(len(nums), s1, _sweep_pair_sum(nums, prec, s), s, prec, exact)
-    count, s1, s2 = deque(_prefix_sums(nums, prec, s, exact), maxlen=1).pop()
-    return _warnock_value(count, s1, s2, s, prec, exact)
+        s2 = _sweep_pair_sum(nums, prec, s)
+    else:
+        s2 = deque(_prefix_sums(nums, prec, s, exact), maxlen=1).pop()
+    s1 = sum(_point_terms(nums, prec))
+    if s <= 2 or exact:
+        return _rational_value(len(nums), s1, s2, s, prec, exact)
+    return _warnock_value(len(nums), s1, s2, s, prec)
 
 
 def warnock_l2(points: Sequence[DyadicPoint], exact: bool = False) -> float:
@@ -308,12 +297,17 @@ def warnock_scan(
         raise ValueError(f"stream ended after {len(points)} points, need {n_max}")
     nums, prec, s = _normalize(points)
     if s == 1:
-        prefixes, close = _sweep_prefix_sums(nums, prec), _rational_value
+        pair_sums = _sweep_prefix_sums(nums, prec)
     else:
-        prefixes, close = _prefix_sums(nums, prec, s, exact), _warnock_value
+        pair_sums = _prefix_sums(nums, prec, s, exact)
+    prefixes = zip(range(1, n_max + 1), accumulate(_point_terms(nums, prec)), pair_sums)
     report = DiscrepancyReport(s=s)
     for count, s1, s2 in islice(prefixes, 1, None):
-        l2 = math.sqrt(close(count, s1, s2, s, prec, exact))
+        if s == 1 or exact:
+            sq = _rational_value(count, s1, s2, s, prec, exact)
+        else:
+            sq = _warnock_value(count, s1, s2, s, prec)
+        l2 = math.sqrt(sq)
         roth, proinov = _ratios(count, l2, s)
         report.rows.append(ScanRow(count, l2, sum_of_digits(count), roth, proinov))
     return report

@@ -2,61 +2,18 @@
 
 Vectors and matrix rows are Python ints, least-significant bit first: bit i
 of a row mask holds the entry of column i+1.  Matrix-vector products reduce
-to parity-of-AND popcounts.  All types are immutable after construction, so
+to parity-of-AND popcounts, and every GF(2) combination of rows (a point
+from matrix columns, a dual element from a kernel basis) is one xor_rows
+call or one step of span.  All types are immutable after construction, so
 instances can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Vector over GF(2); entry i (0-based) sits in bit i of ``bits``."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("negative vector length")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("set bits beyond declared length")
-
-    @classmethod
-    def from_bits(cls, seq: Iterable[int]) -> BitVector:
-        bits = 0
-        n = 0
-        for b in seq:
-            if b & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(bits, n)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: BitVector) -> BitVector:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVector(self.bits ^ other.bits, self.n)
-
-    def to_list(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.n)]
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -104,9 +61,6 @@ class BitMatrix:
             raise IndexError((i, j))
         return (self.data[i] >> j) & 1
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.data[i], self.cols)
-
     def column_mask(self, j: int) -> int:
         """Column j packed into an int, bit i = entry of row i."""
         if not 0 <= j < self.cols:
@@ -150,18 +104,39 @@ class BitMatrix:
         return cls(rows, cols, tuple(masks))
 
 
-def matvec(m: BitMatrix, v: BitVector) -> BitVector:
-    """Product M v over GF(2); entry i is the parity of row_i AND v."""
-    if v.n != m.cols:
-        raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} times length {v.n}")
-    bits = 0
-    for i, rowmask in enumerate(m.data):
-        bits |= _parity(rowmask & v.bits) << i
-    return BitVector(bits, m.rows)
+def matvec(m: BitMatrix, v: int) -> int:
+    """Product M v over GF(2); bit i is the parity of row_i AND v."""
+    if v < 0 or v >> m.cols:
+        raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} times vector {v:#b}")
+    return sum(((rowmask & v).bit_count() & 1) << i for i, rowmask in enumerate(m.data))
 
 
-def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of the right null space {v : M v = 0}; size = cols - rank."""
+def xor_rows(rows: Sequence[int], sel: int) -> int:
+    """XOR of rows[i] over the set bits i of sel."""
+    acc = 0
+    while sel:
+        low = sel & -sel
+        acc ^= rows[low.bit_length() - 1]
+        sel ^= low
+    return acc
+
+
+def span(rows: Sequence[int]) -> Iterator[int]:
+    """xor_rows(rows, n) for n = 0 .. 2^len(rows) - 1, in index order.
+
+    n - 1 and n differ in bits 0..v, v the lowest set bit of n, so each
+    step is one XOR with the prefix XOR rows[0] ^ ... ^ rows[v].
+    """
+    prefix = list(accumulate(rows, operator.xor))
+    acc = 0
+    yield acc
+    for n in range(1, 1 << len(rows)):
+        acc ^= prefix[(n & -n).bit_length() - 1]
+        yield acc
+
+
+def kernel_basis(m: BitMatrix) -> list[int]:
+    """Basis masks of the right null space {v : M v = 0}; size = cols - rank."""
     work = list(m.data)
     pivot_cols: list[int] = []
     r = 0
@@ -190,7 +165,7 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
         for i, pc in enumerate(pivot_cols):
             if (work[i] >> free) & 1:
                 bits |= 1 << pc
-        basis.append(BitVector(bits, m.cols))
+        basis.append(bits)
     return basis
 
 

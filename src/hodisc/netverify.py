@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from itertools import islice, product
+from typing import Iterator, Sequence
 
 from .genmat import GeneratingMatrixSet
-from .gf2 import BitMatrix, kernel_basis, stack_transposed
+from .gf2 import BitMatrix, kernel_basis, span, stack_transposed, xor_rows
 from .points import Dyadic, DyadicPoint
 from .walsh import WalshIndex, mu_alpha, wal_vec
 
@@ -288,20 +288,11 @@ class DualNetBasis:
         keep = (1 << r) - 1
         return tuple((mask >> (j * r)) & keep for j in range(self.s))
 
-    def elements(self, include_zero: bool = False) -> Iterator[WalshIndex]:
-        """All dual frequency vectors with components below 2^digit_range."""
-        for bits in range(self.size()):
-            mask = 0
-            rest = bits
-            idx = 0
-            while rest:
-                if rest & 1:
-                    mask ^= self.basis[idx]
-                rest >>= 1
-                idx += 1
-            if mask == 0 and not include_zero:
-                continue
-            yield self._split(mask)
+    def elements(self) -> Iterator[WalshIndex]:
+        """All nonzero dual frequency vectors with components below
+        2^digit_range, element n being the XOR of the basis masks picked by
+        the bits of n (n = 1 .. size - 1)."""
+        return map(self._split, islice(span(self.basis), 1, None))
 
     def contains(self, ks: WalshIndex, matrices: Sequence[BitMatrix]) -> bool:
         """Membership check via the defining linear system.
@@ -311,13 +302,7 @@ class DualNetBasis:
         """
         acc = 0
         for k, mat in zip(ks, matrices):
-            bits = k
-            pos = 0
-            while bits:
-                if bits & 1 and pos < mat.rows:
-                    acc ^= mat.data[pos]
-                bits >>= 1
-                pos += 1
+            acc ^= xor_rows(mat.data, k & ((1 << mat.rows) - 1))
         return acc == 0
 
 
@@ -350,19 +335,18 @@ def dual_enumerate(
         m=g.width,
         digit_range=r,
         rank=r * g.s - len(basis),
-        basis=tuple(v.bits for v in basis),
+        basis=tuple(basis),
     )
 
 
-def dual_min_weight(dual: DualNetBasis | Iterable[WalshIndex], order: int = 1) -> float:
+def dual_min_weight(dual: DualNetBasis, order: int = 1) -> float:
     """Minimum order-``order`` weight over the nonzero dual elements.
 
     Returns math.inf when the truncated-range dual is trivial.  For an
     order-``order`` (t,m,s)-net the minimum exceeds order*m - t.
     """
-    elements = dual.elements() if isinstance(dual, DualNetBasis) else dual
     best = math.inf
-    for ks in elements:
+    for ks in dual.elements():
         w = sum(mu_alpha(k, order) for k in ks)
         if w < best:
             best = w

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .genmat import GeneratingMatrixSet, interlace_matrices, sobol_matrices
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, span, xor_rows
 
 COROLLARY_PRECISION = 128
 
@@ -90,39 +91,25 @@ def _column_numerators(g: GeneratingMatrixSet) -> list[list[int]]:
         cols.append(per)
     return cols
 
+
 def nth_point(g: GeneratingMatrixSet, n: int) -> DyadicPoint:
     """Point of index n; digit k of coordinate j is row k of C_j applied to
     the binary digit vector of n."""
     if not 0 <= n < (1 << g.width):
         raise ValueError(f"index {n} needs more than {g.width} digit columns")
-    cols = _column_numerators(g)
-    return _point_from_columns(cols, g.depth, n)
-
-
-def _point_from_columns(cols: list[list[int]], depth: int, n: int) -> DyadicPoint:
-    nums = []
-    for per in cols:
-        acc = 0
-        bits = n
-        l = 0
-        while bits:
-            if bits & 1:
-                acc ^= per[l]
-            bits >>= 1
-            l += 1
-        nums.append(acc)
-    return DyadicPoint(tuple(nums), depth)
+    return DyadicPoint(tuple(xor_rows(per, n) for per in _column_numerators(g)), g.depth)
 
 
 def net_points(g: GeneratingMatrixSet, count: int | None = None) -> list[DyadicPoint]:
-    """First ``count`` points (default all 2^width) in index order."""
+    """First ``count`` points (default all 2^width) in index order, one XOR
+    per coordinate and point."""
     total = 1 << g.width
     if count is None:
         count = total
     if not 0 <= count <= total:
         raise ValueError(f"count {count} out of range for width {g.width}")
-    cols = _column_numerators(g)
-    return [_point_from_columns(cols, g.depth, n) for n in range(count)]
+    coords = zip(*(span(per) for per in _column_numerators(g)))
+    return [DyadicPoint(nums, g.depth) for nums in islice(coords, count)]
 
 
 def interlace_point(x: DyadicPoint, alpha: int) -> DyadicPoint:

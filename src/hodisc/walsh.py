@@ -51,13 +51,7 @@ def wal(k: int, x: Dyadic) -> int:
     """Scalar Walsh character wal_k(x) in {-1, +1}."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    par = 0
-    bits = k
-    while bits:
-        pos = bits.bit_length()  # kappa_{pos-1} pairs with digit pos of x
-        par ^= x.digit(pos)
-        bits ^= 1 << (pos - 1)
-    return -1 if par else 1
+    return wal_vec((k,), DyadicPoint((x.num,), x.prec))
 
 
 def wal_vec(ks: Sequence[int], x: DyadicPoint) -> int:

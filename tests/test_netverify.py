@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hodisc.genmat import sequence_net, t_reduced
+from hodisc.gf2 import xor_rows
 from hodisc.netverify import (
     JAlphaBox,
     VerificationBudgetError,
@@ -198,6 +199,12 @@ def test_dual_membership_matches_enumeration():
     for _ in range(200):
         ks = (rng.randrange(8), rng.randrange(8))
         assert dual.contains(ks, g.matrices) == (ks in members or ks == (0, 0))
+
+
+def test_dual_element_order_is_index_order():
+    dual = dual_enumerate(sequence_net(2, 2, 3))
+    expect = [dual._split(xor_rows(dual.basis, n)) for n in range(1, dual.size())]
+    assert list(dual.elements()) == expect
 
 
 def test_dual_budget():

@@ -1,8 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from hodisc.genmat import interlace_matrices, sequence_net, sobol_matrices, truncate
+from hodisc.genmat import (
+    GeneratingMatrixSet,
+    interlace_matrices,
+    sequence_net,
+    sobol_matrices,
+    truncate,
+)
+from hodisc.gf2 import BitMatrix, matvec
 from hodisc.points import (
     Dyadic,
     DyadicPoint,
@@ -33,6 +41,28 @@ def test_index_too_large_rejected():
     g = sequence_net(1, 1, 3)
     with pytest.raises(ValueError):
         nth_point(g, 8)
+
+
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 6), st.data())
+def test_points_match_the_matrix_definition(s, depth, width, data):
+    # digit k of coordinate j is bit k-1 of C_j n, i.e. bit depth-k of the numerator
+    mats = tuple(
+        BitMatrix.from_rows(
+            [data.draw(st.integers(0, (1 << width) - 1)) for _ in range(depth)], width
+        )
+        for _ in range(s)
+    )
+    g = GeneratingMatrixSet(s, depth, width, mats, 1, None)
+    count = data.draw(st.integers(0, 1 << width))
+    pts = net_points(g, count)
+    assert len(pts) == count
+    for n in range(count):
+        want = tuple(
+            sum(((matvec(c, n) >> (k - 1)) & 1) << (depth - k) for k in range(1, depth + 1))
+            for c in mats
+        )
+        assert pts[n].coords == want and pts[n].precision == depth
+        assert nth_point(g, n) == pts[n]
 
 
 def test_sobol_m2_is_a_net():
