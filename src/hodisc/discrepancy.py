@@ -15,13 +15,13 @@ compute S2, chosen by the dimension and by one-shot versus scan:
 * the O(N^2 s) row loop for scans with s >= 2 and one-shots with s >= 3:
   one pass that yields S2 after every point, so the one-shot value is the
   scan's last row.  Exact mode keeps Python integers and is limited to
-  N <= EXACT_LIMIT; float mode rounds once per point with compensated
-  summation.
+  N <= EXACT_LIMIT; float mode computes each point's row in float64 and
+  adds the row exactly to an integer S2.
 
-An exact S2 closes with one integer numerator over one integer denominator:
+Every value closes with one integer numerator over one integer denominator:
 a Fraction in exact mode, otherwise the float that division rounds
-correctly from it, so the sweep's float is the rounded exact value.  Only
-the float row loop closes in floating point.
+correctly from it.  A float from the sweep is thus the rounded exact value,
+and one from the row loop the rounded exact sum of its float64 rows.
 """
 
 from __future__ import annotations
@@ -57,67 +57,45 @@ def _normalize(points: Sequence[DyadicPoint]) -> tuple[list[tuple[int, ...]], in
     return nums, prec, s
 
 
-class _Kahan:
-    """Kahan-Babuska (Neumaier) compensated accumulator."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
-        else:
-            self.comp += (x - t) + self.total
-        self.total = t
-
-    def value(self) -> float:
-        return self.total + self.comp
+def _complements(nums: list[tuple[int, ...]], prec: int, j: int) -> np.ndarray:
+    """1 - x_j of every point as Python ints in units of 2^-prec."""
+    one = 1 << prec
+    return np.array([one - row[j] for row in nums], dtype=object)
 
 
 def _prefix_sums(
     nums: list[tuple[int, ...]], prec: int, s: int, exact: bool
-) -> Iterator[int | float]:
-    """Yield S2 over the first N points, for N = 1, 2, ...
+) -> Iterator[int]:
+    """Yield S2 over the first N points, for N = 1, 2, ..., as an int in
+    units of 2^-sp.
 
-    S2 is an int in units of 2^-sp in exact mode and a compensated float
-    sum otherwise.  Point n adds its kernel with each earlier point twice
-    and with itself once.
+    Point n adds its kernel with each earlier point twice and with itself
+    once.  Exact mode keeps the columns as Python ints.  Float mode computes
+    each point's row in float64 and adds it exactly: every float here is a
+    multiple of 2^-sp (the columns are multiples of 2^-p, min is exact, and
+    rounding to 53 bits or into the subnormal range keeps a multiple of
+    2^-u for u <= 1074, while above that every float is one), so the shift
+    below is never negative.
     """
     if exact and len(nums) > EXACT_LIMIT:
         raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
-    one = 1 << prec
-    if exact:
-        cols = [np.array([one - row[j] for row in nums], dtype=object) for j in range(s)]
-    else:
-        cols = [np.array([(one - row[j]) / one for row in nums]) for j in range(s)]
+    cols = [_complements(nums, prec, j) for j in range(s)]
+    if not exact:
+        one = 1 << prec
+        cols = [(col / one).astype(float) for col in cols]
     s2 = 0
-    pairs = _Kahan()
     for n in range(len(nums)):
         row = np.minimum(cols[0][:n], cols[0][n])
         diag = cols[0][n]
         for col in cols[1:]:
             row *= np.minimum(col[:n], col[n])
             diag *= col[n]
-        if exact:
-            s2 += 2 * row.sum() + diag
-        else:
-            pairs.add(2.0 * float(row.sum()) + float(diag))
-            s2 = pairs.value()
+        added = 2 * row.sum() + diag
+        if not exact:
+            a, b = added.as_integer_ratio()
+            added = a << (s * prec + 1 - b.bit_length())
+        s2 += added
         yield s2
-
-
-def _warnock_value(count: int, s1: int, s2: float, s: int, prec: int) -> float:
-    """3^-s - (2/N) S1 + S2/N^2 in float from the row loop's float S2.
-
-    The exact S1 is divided once (int/int division rounds correctly), and a
-    cancellation below zero is clipped.
-    """
-    value = 1 / 3**s - 2 * s1 / (count << s * (2 * prec + 1)) + s2 / (count * count)
-    return max(value, 0.0)
 
 
 def _dominance_sums(b: np.ndarray) -> np.ndarray:
@@ -153,12 +131,6 @@ def _dominance_sums(b: np.ndarray) -> np.ndarray:
         sums[left] += b[left] * (stop - cut)
         half *= 2
     return sums
-
-
-def _complements(nums: list[tuple[int, ...]], prec: int, j: int) -> np.ndarray:
-    """1 - x_j of every point as Python ints in units of 2^-prec."""
-    one = 1 << prec
-    return np.array([one - row[j] for row in nums], dtype=object)
 
 
 def _point_terms(nums: list[tuple[int, ...]], prec: int) -> Iterator[int]:
@@ -217,10 +189,7 @@ def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool = False) -> float |
         s2 = _sweep_pair_sum(nums, prec, s)
     else:
         s2 = deque(_prefix_sums(nums, prec, s, exact), maxlen=1).pop()
-    s1 = sum(_point_terms(nums, prec))
-    if s <= 2 or exact:
-        return _rational_value(len(nums), s1, s2, s, prec, exact)
-    return _warnock_value(len(nums), s1, s2, s, prec)
+    return _rational_value(len(nums), sum(_point_terms(nums, prec)), s2, s, prec, exact)
 
 
 def warnock_l2(points: Sequence[DyadicPoint], exact: bool = False) -> float:
@@ -286,9 +255,9 @@ def warnock_scan(
 
     At s = 1 the dominance sweep gives every prefix's exact sums in
     O(n_max log n_max), and each row is the square root of the correctly
-    rounded exact value in both modes.  At s >= 2 the row loop keeps running
-    accumulators, so the scan costs O(n_max^2 * s) kernel evaluations and
-    exact mode is limited to EXACT_LIMIT points.
+    rounded exact value in both modes.  At s >= 2 the row loop keeps a
+    running integer S2, so the scan costs O(n_max^2 * s) kernel evaluations
+    and exact mode is limited to EXACT_LIMIT points.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -303,11 +272,7 @@ def warnock_scan(
     prefixes = zip(range(1, n_max + 1), accumulate(_point_terms(nums, prec)), pair_sums)
     report = DiscrepancyReport(s=s)
     for count, s1, s2 in islice(prefixes, 1, None):
-        if s == 1 or exact:
-            sq = _rational_value(count, s1, s2, s, prec, exact)
-        else:
-            sq = _warnock_value(count, s1, s2, s, prec)
-        l2 = math.sqrt(sq)
+        l2 = math.sqrt(_rational_value(count, s1, s2, s, prec, exact))
         roth, proinov = _ratios(count, l2, s)
         report.rows.append(ScanRow(count, l2, sum_of_digits(count), roth, proinov))
     return report

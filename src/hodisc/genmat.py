@@ -65,11 +65,7 @@ def sobol_matrices(s: int, depth: int, width: int) -> GeneratingMatrixSet:
             i = (k - 1) // e + 1
             z = (k - 1) % e
             coeffs = laurent_expand(p, i, z, width)
-            mask = 0
-            for l, a in enumerate(coeffs, start=1):
-                if a:
-                    mask |= 1 << (l - 1)
-            rows.append(mask)
+            rows.append(sum(a << l for l, a in enumerate(coeffs)))
         mats.append(BitMatrix.from_rows(rows, width))
     return GeneratingMatrixSet(s, depth, width, tuple(mats), 1, t_bound)
 

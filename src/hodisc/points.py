@@ -76,20 +76,13 @@ class DyadicPoint:
 def _column_numerators(g: GeneratingMatrixSet) -> list[list[int]]:
     """Per coordinate, column l of the matrix read as a digit numerator.
 
-    Row k maps to digit k, i.e. bit depth-k of the numerator, so a point
-    numerator is the XOR of the column numerators picked by the index bits.
+    Row k maps to digit k, i.e. bit depth-k of the numerator; reversing the
+    rows puts row k at index depth-k, so the numerators are the column masks
+    of the reversed matrix.  A point numerator is the XOR of the column
+    numerators picked by the index bits.
     """
-    cols = []
-    for mat in g.matrices:
-        per = []
-        for l in range(g.width):
-            num = 0
-            for k, rowmask in enumerate(mat.data, start=1):
-                if (rowmask >> l) & 1:
-                    num |= 1 << (g.depth - k)
-            per.append(num)
-        cols.append(per)
-    return cols
+    flipped = (BitMatrix.from_rows(mat.data[::-1], g.width) for mat in g.matrices)
+    return [[rev.column_mask(l) for l in range(g.width)] for rev in flipped]
 
 
 def nth_point(g: GeneratingMatrixSet, n: int) -> DyadicPoint:

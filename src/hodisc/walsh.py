@@ -49,8 +49,6 @@ def mu_alpha(k: int, alpha: int) -> int:
 
 def wal(k: int, x: Dyadic) -> int:
     """Scalar Walsh character wal_k(x) in {-1, +1}."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
     return wal_vec((k,), DyadicPoint((x.num,), x.prec))
 
 
@@ -60,6 +58,8 @@ def wal_vec(ks: Sequence[int], x: DyadicPoint) -> int:
         raise ValueError("dimension mismatch")
     par = 0
     for j, k in enumerate(ks):
+        if k < 0:
+            raise ValueError("Walsh indices must be non-negative")
         bits = k
         num = x.coords[j]
         p = x.precision
@@ -69,16 +69,6 @@ def wal_vec(ks: Sequence[int], x: DyadicPoint) -> int:
                 par ^= (num >> (p - pos)) & 1
             bits ^= 1 << (pos - 1)
     return -1 if par else 1
-
-
-def _bit_positions(k: int) -> list[int]:
-    """Set-bit positions of k, 1-based, descending."""
-    out = []
-    while k:
-        pos = k.bit_length()
-        out.append(pos)
-        k ^= 1 << (pos - 1)
-    return out
 
 
 def r_coeff(k: int, l: int) -> Fraction:
@@ -99,23 +89,17 @@ def r_coeff(k: int, l: int) -> Fraction:
         raise ValueError("indices must be non-negative")
     if k < l:
         k, l = l, k
-    if l == 0:
-        if k == 0:
-            return Fraction(1, 3)
-        a = _bit_positions(k)
-        if len(a) == 1:
-            return Fraction(1, 1 << (a[0] + 2))
-        if len(a) == 2:
-            return Fraction(-1, 1 << (a[0] + a[1] + 2))
-        return Fraction(0)
     if k == l:
-        return Fraction(1, 3 * (1 << (2 * mu(k))))
-    a = _bit_positions(k)
-    b = _bit_positions(l)
-    if len(a) == len(b) and a[0] != b[0] and a[1:] == b[1:]:
-        return Fraction(1, 1 << (a[0] + b[0] + 2))
-    if len(a) == len(b) + 2 and a[2:] == b:
-        return Fraction(-1, 1 << (a[0] + a[1] + 2))
+        return Fraction(1, 3 << 2 * mu(k))
+    # Only the top one or two set bits count; 1 << n >> 1 is the top bit of
+    # an n-bit index, and 0 for n = 0, so l = 0 needs no case of its own.
+    a1, b1 = k.bit_length(), l.bit_length()
+    k_rest = k ^ (1 << a1 >> 1)
+    if k_rest == l ^ (1 << b1 >> 1):
+        return Fraction(1, 1 << (a1 + b1 + 2))
+    a2 = k_rest.bit_length()
+    if k_rest ^ (1 << a2 >> 1) == l:
+        return Fraction(-1, 1 << (a1 + a2 + 2))
     return Fraction(0)
 
 

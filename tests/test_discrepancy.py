@@ -76,6 +76,34 @@ def test_exact_and_float_agree():
         assert row.l2 == math.sqrt(float(warnock_l2_sq(pts[: row.n], exact=True)))
 
 
+def test_float_row_loop_is_exact_at_low_precision():
+    # at s <= 4 and precision <= 8 every float64 row of the row loop is
+    # exact, so floats are the correctly rounded exact values
+    rng = random.Random(9)
+    sets = [random_pointset(rng, s, rng.randint(20, 120), prec)
+            for s in (3, 4) for prec in (1, 2, 4, 6, 8)]
+    sets.append(net_points(sequence_net(3, 1, 8)))
+    sets.append(net_points(sequence_net(4, 2, 4)))
+    for pts in sets:
+        assert warnock_l2_sq(pts) == float(warnock_l2_sq(pts, exact=True))
+        n = len(pts)
+        assert warnock_scan(pts, n).rows == warnock_scan(pts, n, exact=True).rows
+
+
+def test_float_row_loop_near_one_beyond_the_float_range():
+    # 1 - x between 2^-p and 2^(4-2p/3): at s*p = 1040, 1200 and 1300 the
+    # row products fall in the normal, subnormal and zero ranges, and every
+    # row must still add to S2 without a negative shift
+    rng = random.Random(10)
+    for s, prec in ((4, 260), (2, 520), (3, 400), (2, 600), (4, 325), (2, 650)):
+        top = 1 << prec
+        pts = [DyadicPoint(tuple(top - (rng.randint(1, 16) << rng.choice((0, 2, prec // 3)))
+                                 for _ in range(s)), prec)
+               for _ in range(24)]
+        assert warnock_l2_sq(pts) == float(warnock_l2_sq(pts, exact=True))
+        assert warnock_scan(pts, 24).rows == warnock_scan(pts, 24, exact=True).rows
+
+
 def test_permutation_invariance():
     rng = random.Random(5)
     pts = random_pointset(rng, 2, 40, 8)

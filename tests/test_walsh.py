@@ -1,9 +1,11 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hodisc.netverify import character_sum
 from hodisc.points import Dyadic, DyadicPoint, digital_shift
 from hodisc.walsh import mu, mu_alpha, mu_vec, r_coeff, r_coeff_oracle, wal, wal_vec
 
@@ -53,6 +55,34 @@ def test_wal_vec_dimension_mismatch():
         wal_vec((1,), DyadicPoint((0, 0), 1))
 
 
+def _within(seconds, call):
+    """Run call() and fail with TimeoutError if it runs past the deadline."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_negative_walsh_index_rejected():
+    # a negative index once looped forever in the digit walk
+    x = DyadicPoint((1,), 2)
+    calls = (
+        lambda: wal_vec((-1,), x),
+        lambda: wal_vec((0, -3), DyadicPoint((1, 2), 2)),
+        lambda: character_sum([x], (-1,)),
+        lambda: wal(-1, Dyadic(1, 2)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            _within(5, call)
+
+
 @given(st.integers(0, 255), st.integers(0, 63), st.integers(0, 63))
 def test_wal_multiplicative_under_shift(k, xn, sn):
     x = DyadicPoint((xn,), 6)
@@ -69,6 +99,35 @@ def test_r_coeff_pinned_values():
     assert r_coeff(2, 0) == Fraction(1, 16)
     assert r_coeff(3, 0) == Fraction(-1, 32)
     assert r_coeff(7, 0) == 0
+
+
+def _positions(k):
+    """Set-bit positions of k, 1-based, descending."""
+    return [pos for pos in range(k.bit_length(), 0, -1) if k >> (pos - 1) & 1]
+
+
+def _r_from_position_lists(k, l):
+    """The r_coeff docstring table, read off full position lists."""
+    if k < l:
+        k, l = l, k
+    a, b = _positions(k), _positions(l)
+    if k == l:
+        return Fraction(1, 3 * 4 ** a[0]) if k else Fraction(1, 3)
+    if l == 0 and len(a) == 1:
+        return Fraction(1, 2 ** (a[0] + 2))
+    if l == 0 and len(a) == 2:
+        return Fraction(-1, 2 ** (a[0] + a[1] + 2))
+    if len(a) == len(b) + 2 > 2 and a[2:] == b:
+        return Fraction(-1, 2 ** (a[0] + a[1] + 2))
+    if len(a) == len(b) and a[0] != b[0] and a[1:] == b[1:]:
+        return Fraction(1, 2 ** (a[0] + b[0] + 2))
+    return Fraction(0)
+
+
+def test_r_coeff_matches_position_list_table():
+    for k in range(256):
+        for l in range(256):
+            assert r_coeff(k, l) == _r_from_position_lists(k, l), (k, l)
 
 
 def test_r_coeff_symmetry():
