@@ -66,7 +66,10 @@ def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
         body, _, exp = text.partition("p-")
         if not body.startswith("0x") or not exp:
             raise ValueError(f"bad hexfrac value {text!r}")
-        return int(body, 16), int(exp)
+        prec = int(exp)
+        if prec < 0:
+            raise ValueError(f"negative precision in {text!r}")
+        return int(body, 16), prec
     if fmt == "bin":
         if text == "0":
             return 0, 0

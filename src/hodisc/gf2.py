@@ -93,6 +93,8 @@ class BitMatrix:
         if not lines:
             raise ValueError("empty matrix text")
         rows, cols = (int(tok) for tok in lines[0].split())
+        if cols == 0 and len(lines) == 1:  # zero-length rows print as blank lines
+            return cls.zeros(rows, 0)
         if len(lines) - 1 != rows:
             raise ValueError("row count does not match header")
         masks = []

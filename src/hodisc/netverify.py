@@ -11,11 +11,14 @@ property violation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .genmat import GeneratingMatrixSet
 from .gf2 import BitMatrix, kernel_basis, span, stack_transposed, xor_rows
@@ -339,17 +342,87 @@ def dual_enumerate(
     )
 
 
-def dual_min_weight(dual: DualNetBasis, order: int = 1) -> float:
+_CHUNK_BITS = 12
+_BLOCK_BITS = 12  # low-block span size 2^12 keeps each block's arrays ~100 KB
+
+
+@functools.lru_cache(maxsize=8)
+def _chunk_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat tables over (order left a, 12-bit chunk x), index a*4096 + x.
+
+    The first holds mu_alpha(x, a), the second the number of set bits it
+    takes, min(popcount(x), a).  Row a = 0 is zero: nothing left to take.
+    """
+    size = 1 << _CHUNK_BITS
+    mu = np.zeros((order + 1, size), dtype=np.int64)
+    taken = np.zeros((order + 1, size), dtype=np.int64)
+    for a in range(1, order + 1):
+        mu[a] = [mu_alpha(x, a) for x in range(size)]
+        taken[a] = [min(x.bit_count(), a) for x in range(size)]
+    mu.flags.writeable = taken.flags.writeable = False
+    return mu.ravel(), taken.ravel()
+
+
+def dual_min_weight(dual: DualNetBasis, order: int = 1) -> int | float:
     """Minimum order-``order`` weight over the nonzero dual elements.
 
-    Returns math.inf when the truncated-range dual is trivial.  For an
-    order-``order`` (t,m,s)-net the minimum exceeds order*m - t.
+    The weight of (k_1, ..., k_s) is the sum of mu_alpha(k_j, order).
+    Returns an int, or math.inf (the only float) when the truncated-range
+    dual is trivial.  For an order-``order`` (t,m,s)-net the minimum
+    exceeds order*m - t.
+
+    Each coordinate's digit vector is held as ceil(digit_range/64) uint64
+    words.  The span of the first 12 basis masks is built once as columns
+    of words; every element of the span of the remaining masks is XORed
+    into it, one 2^12-element block at a time.  A weight walks the 12-bit
+    chunks of each coordinate from the highest down, looking up mu_alpha
+    of the chunk for the number of bits still to take.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if not dual.basis:
+        return math.inf
+    s, r = dual.s, dual.digit_range
+    mu, taken = _chunk_tables(order)
+    size = 1 << _CHUNK_BITS
+    nwords = -(-r // 64)
+
+    def words(mask: int) -> np.ndarray:
+        out = []
+        for j in range(s):
+            digits = (mask >> (j * r)) & ((1 << r) - 1)
+            out.extend((digits >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(nwords))
+        return np.array(out, dtype=np.uint64)
+
+    # per coordinate, its chunks from the highest: (word row, shift in the
+    # word, bit offset of the chunk in the digit vector)
+    chunks = []
+    for j in range(s):
+        steps = []
+        for w in reversed(range(nwords)):
+            nbits = min(64, r - 64 * w)
+            for c in reversed(range(-(-nbits // _CHUNK_BITS))):
+                steps.append((j * nwords + w, c * _CHUNK_BITS, 64 * w + c * _CHUNK_BITS))
+        chunks.append(steps)
+
+    low = np.zeros((s * nwords, 1), dtype=np.uint64)
+    for mask in dual.basis[:_BLOCK_BITS]:
+        low = np.concatenate((low, low ^ words(mask)[:, None]), axis=1)
+    block = np.empty_like(low)
     best = math.inf
-    for ks in dual.elements():
-        w = sum(mu_alpha(k, order) for k in ks)
-        if w < best:
-            best = w
+    for n, high in enumerate(span(dual.basis[_BLOCK_BITS:])):
+        np.bitwise_xor(low, words(high)[:, None], out=block)
+        weight = np.zeros(block.shape[1], dtype=np.int64)
+        for steps in chunks:
+            left = order
+            for row, shift, offset in steps:
+                idx = ((block[row] >> shift) & (size - 1)).view(np.int64) + left * size
+                weight += mu[idx]
+                if offset:  # only the lowest chunk sits at offset 0; nothing follows it
+                    took = taken[idx]
+                    weight += offset * took
+                    left = left - took
+        best = min(best, int(weight[1:].min() if n == 0 else weight.min()))
     return best
 
 

@@ -8,6 +8,7 @@ num at precision p is bit p-i.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -73,16 +74,18 @@ class DyadicPoint:
         return tuple(c / denom for c in self.coords)
 
 
-def _column_numerators(g: GeneratingMatrixSet) -> list[list[int]]:
+@functools.lru_cache(maxsize=64)
+def _column_numerators(g: GeneratingMatrixSet) -> tuple[tuple[int, ...], ...]:
     """Per coordinate, column l of the matrix read as a digit numerator.
 
     Row k maps to digit k, i.e. bit depth-k of the numerator; reversing the
     rows puts row k at index depth-k, so the numerators are the column masks
     of the reversed matrix.  A point numerator is the XOR of the column
-    numerators picked by the index bits.
+    numerators picked by the index bits.  Memoised per matrix set, so
+    repeated nth_point and net_points calls share one immutable build.
     """
     flipped = (BitMatrix.from_rows(mat.data[::-1], g.width) for mat in g.matrices)
-    return [[rev.column_mask(l) for l in range(g.width)] for rev in flipped]
+    return tuple(tuple(rev.column_mask(l) for l in range(g.width)) for rev in flipped)
 
 
 def nth_point(g: GeneratingMatrixSet, n: int) -> DyadicPoint:

@@ -1,7 +1,10 @@
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hodisc.cli import (
     EXIT_BUDGET,
@@ -13,7 +16,11 @@ from hodisc.cli import (
     format_hexfrac,
     main,
     parse_coordinate,
+    read_point_file,
 )
+from hodisc.points import DyadicPoint
+
+FORMATTERS = {"dec": format_dec, "hexfrac": format_hexfrac, "bin": format_bin}
 
 
 def run(capsys, *argv):
@@ -213,3 +220,93 @@ def test_format_helpers_exact():
     assert parse_coordinate("0.0101", "bin") == (5, 4)
     with pytest.raises(ValueError):
         parse_coordinate("0.2", "dec")  # not dyadic
+
+
+@st.composite
+def _point_rows(draw):
+    """Rows of (numerator, precision) pairs: s coordinates at one precision."""
+    s = draw(st.integers(1, 4))
+    prec = draw(st.integers(0, 70))
+    coord = st.integers(0, (1 << prec) - 1)
+    n = draw(st.integers(1, 6))
+    return [[draw(coord) for _ in range(s)] for _ in range(n)], prec
+
+
+def _write_points(text):
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def _point_text(rows, prec, fmt):
+    return "".join(" ".join(FORMATTERS[fmt](c, prec) for c in row) + "\n" for row in rows)
+
+
+@given(st.sampled_from(sorted(FORMATTERS)), st.integers(0, 90), st.data())
+def test_coordinate_formats_round_trip(fmt, prec, data):
+    num = data.draw(st.integers(0, (1 << prec) - 1))
+    got_num, got_prec = parse_coordinate(FORMATTERS[fmt](num, prec), fmt)
+    assert Fraction(got_num, 1 << got_prec) == Fraction(num, 1 << prec)
+    if fmt != "dec":  # dec prints the shortest expansion, so only the value is kept
+        assert (got_num, got_prec) == (num, prec)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(FORMATTERS)), _point_rows())
+def test_point_files_round_trip(fmt, rows_prec):
+    rows, prec = rows_prec
+    path = _write_points(_point_text(rows, prec, fmt))
+    try:
+        points = read_point_file(path, fmt)
+    finally:
+        os.unlink(path)
+    if fmt == "dec":
+        assert [[Fraction(c, 1 << pt.precision) for c in pt.coords] for pt in points] == [
+            [Fraction(c, 1 << prec) for c in row] for row in rows
+        ]
+    else:
+        assert points == [DyadicPoint(tuple(row), prec) for row in rows]
+
+
+@st.composite
+def _malformed_point_files(draw):
+    """A valid point file with one defect: a ragged row, a non-dyadic dec
+    value, a hexfrac numerator of 2^prec or more, or a negative precision."""
+    fmt, kind = draw(st.sampled_from([
+        ("dec", "ragged"), ("hexfrac", "ragged"), ("bin", "ragged"),
+        ("dec", "non-dyadic"), ("hexfrac", "too-large"), ("hexfrac", "negative-precision"),
+    ]))
+    rows, prec = draw(_point_rows())
+    lines = [[FORMATTERS[fmt](c, prec) for c in row] for row in rows]
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines[i]) - 1))
+    if kind == "ragged":
+        lines.append(list(lines[i]))  # keeps a row of the original length
+        if len(lines[i]) > 1 and draw(st.booleans()):
+            del lines[i][j]
+        else:
+            lines[i].insert(j, FORMATTERS[fmt](0, prec))
+    elif kind == "non-dyadic":
+        den = draw(st.integers(1, 1 << 20)) * draw(st.sampled_from([3, 5, 7, 9, 11, 25]))
+        value = Fraction(draw(st.integers(0, den - 1)), den)
+        token = draw(st.sampled_from([str(value), repr(float(value))]))
+        den = Fraction(token).denominator
+        assume(den & (den - 1))
+        lines[i][j] = token
+    elif kind == "too-large":
+        lines[i][j] = f"0x{draw(st.integers(1 << prec, 1 << (prec + 8))):x}p-{prec}"
+    else:
+        lines[i][j] = f"0x{draw(st.integers(0, 255)):x}p--{draw(st.integers(1, 70))}"
+    return fmt, "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+@settings(deadline=None)
+@given(_malformed_point_files())
+def test_malformed_point_files_exit_64(fmt_text):
+    fmt, text = fmt_text
+    path = _write_points(text)
+    try:
+        assert main(["disc", "--in", path, "--format", fmt]) == EXIT_USAGE
+    finally:
+        os.unlink(path)

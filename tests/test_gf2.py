@@ -136,6 +136,14 @@ def test_text_round_trip():
     assert BitMatrix.from_text(text) == m
 
 
+@given(st.integers(0, 12), st.integers(0, 70), st.data())
+def test_text_format_round_trips(rows, cols, data):
+    m = BitMatrix.from_rows(
+        [data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)], cols
+    )
+    assert BitMatrix.from_text(m.to_text()) == m
+
+
 def test_matvec_rejects_out_of_range_vector():
     m = BitMatrix.identity(2)
     for v in (-1, 0b100):

@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from hodisc.genmat import sequence_net, t_reduced
-from hodisc.gf2 import xor_rows
+from hodisc.genmat import GeneratingMatrixSet, sequence_net, t_reduced
+from hodisc.gf2 import BitMatrix, xor_rows
 from hodisc.netverify import (
     JAlphaBox,
     VerificationBudgetError,
@@ -20,6 +22,7 @@ from hodisc.netverify import (
     verify_order_alpha,
 )
 from hodisc.points import Dyadic, net_points
+from hodisc.walsh import mu_alpha
 
 
 def test_identity_net_certifies_t0():
@@ -259,3 +262,73 @@ def test_dual_min_weight_exceeds_net_bound():
     g2 = sequence_net(1, 2, 4)
     dual2 = dual_enumerate(g2)
     assert dual_min_weight(dual2, 2) > 2 * 4 - g2.t_bound
+
+
+def _direct_min_weight(dual, order):
+    return min((sum(mu_alpha(k, order) for k in ks) for ks in dual.elements()),
+               default=math.inf)
+
+
+@st.composite
+def _random_duals(draw):
+    """Dual of a random matrix set at a digit range on a 12-bit chunk or a
+    64-bit word edge, with a basis shorter or longer than the 2^12 block."""
+    s = draw(st.integers(1, 3))
+    r = draw(st.sampled_from([11, 12, 13, 24, 64, 65, 90]))
+    # dual dimension, if the matrices have full rank: within one block or past it
+    free = draw(st.integers(13, 14) if draw(st.booleans()) else st.integers(0, 12))
+    pad = draw(st.integers(0, free // s))  # digits beyond the matrix depth
+    depth = r - pad
+    width = s * depth - (free - s * pad)
+    assume(width >= 1)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mats = tuple(
+        BitMatrix.from_rows([rng.getrandbits(width) for _ in range(depth)], width)
+        for _ in range(s)
+    )
+    g = GeneratingMatrixSet(s, depth, width, mats, 1, None)
+    try:
+        return dual_enumerate(g, digit_range=r, budget_exponent=16)
+    except VerificationBudgetError:  # a rare rank deficiency
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_duals(), st.integers(1, 4))
+def test_dual_min_weight_matches_the_definition(dual, order):
+    got = dual_min_weight(dual, order)
+    assert got == _direct_min_weight(dual, order)
+    assert type(got) is (int if dual.basis else float)
+    # the same dual from the reversed basis: its low-weight elements now
+    # need the masks beyond the first block
+    assert dual_min_weight(dataclasses.replace(dual, basis=dual.basis[::-1]), order) == got
+
+
+def test_dual_min_weight_trivial_dual_and_bad_order():
+    trivial = dual_enumerate(sequence_net(1, 1, 2))
+    for order in (1, 2, 3):
+        assert dual_min_weight(trivial, order) == math.inf
+    dual = dual_enumerate(sequence_net(2, 2, 3))
+    assert type(dual_min_weight(dual, 2)) is int
+    for order in (0, -1):
+        with pytest.raises(ValueError):
+            dual_min_weight(dual, order)
+        with pytest.raises(ValueError):
+            dual_min_weight(trivial, order)
+
+
+def test_duality_primal_t_equals_dual_weight_bound():
+    # Niederreiter-Pirsic (order 1), Dick (order alpha): the smallest certified
+    # t is a*m + 1 minus the minimum order-a dual weight, floored at 0
+    checked = 0
+    for s, alpha, m in itertools.product((1, 2, 3), (1, 2, 3), range(1, 7)):
+        if s * alpha * m - m > 16:
+            continue
+        g = sequence_net(s, alpha, m)
+        dual = dual_enumerate(g)
+        assert dual.size() <= 1 << 16
+        for a in range(1, alpha + 1):
+            t = smallest_certified_t(g, a)
+            assert t == max(0, a * m + 1 - dual_min_weight(dual, a)), (s, alpha, m, a)
+            checked += 1
+    assert checked == 79
