@@ -2,7 +2,7 @@
 
 Every command is deterministic for a fixed flag set; shifts are always
 user-supplied, never sampled.  Exit codes: 64 for usage errors, 2 for a
-violated property (verify), 3 for an exceeded enumeration budget.
+violated property (verify), 3 for an exceeded enumeration or point budget.
 """
 
 from __future__ import annotations
@@ -13,14 +13,21 @@ from fractions import Fraction
 from typing import Sequence
 
 from .discrepancy import warnock_l2, warnock_scan
-from .genmat import sequence_net, write_matrix_files
+from .genmat import GeneratingMatrixSet, sequence_net, write_matrix_files
 from .netverify import (
     VerificationBudgetError,
     character_sum,
     dual_enumerate,
     find_dependency,
 )
-from .points import DyadicPoint, corollary_pointset, digital_shift, net_points
+from .points import (
+    DyadicPoint,
+    _corollary_columns,
+    _net_columns,
+    _shift_columns,
+    corollary_pointset,
+    net_points,
+)
 from .walsh import mu_vec, r_coeff
 
 EXIT_OK = 0
@@ -30,6 +37,14 @@ EXIT_USAGE = 64
 
 DEFAULT_SEQUENCE_ALPHA = 5  # scan/gen sequence mode
 COROLLARY_ALPHA = 3  # fixed by the finite-N construction
+DEFAULT_POINT_BUDGET_EXPONENT = 22  # gen, disc and scan build at most 2^22 points
+
+
+class PointBudgetError(Exception):
+    """A point set larger than 2^budget_exponent points was requested."""
+
+    def __init__(self, points: str, budget_exponent: int) -> None:
+        super().__init__(f"generation of {points} points exceeds budget 2^{budget_exponent}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,26 +72,34 @@ def format_bin(num: int, prec: int) -> str:
 
 
 _FORMATTERS = {"dec": format_dec, "hexfrac": format_hexfrac, "bin": format_bin}
+_SIGNS = {"+", "-"}
 
 
 def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
-    """(numerator, precision) of one coordinate in the given text format."""
+    """(numerator, precision) of one coordinate in the given text format.
+
+    No formatter writes a `_` digit separator or a sign, so neither is
+    read, though `int` and `Fraction` would take both.  A dec value may
+    still carry a signed exponent (`9.5367431640625e-07`), as float repr
+    writes it.
+    """
     text = text.strip()
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
     if fmt == "hexfrac":
         body, _, exp = text.partition("p-")
-        if not body.startswith("0x") or not exp:
+        if not body.startswith("0x") or not exp or _SIGNS & set(body + exp):
             raise ValueError(f"bad hexfrac value {text!r}")
-        prec = int(exp)
-        if prec < 0:
-            raise ValueError(f"negative precision in {text!r}")
-        return int(body, 16), prec
+        return int(body, 16), int(exp)
     if fmt == "bin":
         if text == "0":
             return 0, 0
-        if not text.startswith("0."):
-            raise ValueError(f"bad binary value {text!r}")
         frac = text[2:]
+        if not text.startswith("0.") or _SIGNS & set(frac):
+            raise ValueError(f"bad binary value {text!r}")
         return int(frac, 2) if frac else 0, len(frac)
+    if text.startswith(("+", "-")):
+        raise ValueError(f"signed coordinate {text!r}")
     value = Fraction(text)
     if value < 0 or value >= 1:
         raise ValueError(f"coordinate {text!r} outside [0,1)")
@@ -123,25 +146,43 @@ def _parse_shift(text: str, s: int) -> DyadicPoint:
     return DyadicPoint(tuple(nums), prec)
 
 
-def _generate(args) -> list[DyadicPoint]:
+def _check_points(points: str, log2_points: int, budget_exponent: int) -> None:
+    """Raise PointBudgetError if 2^log2_points exceeds 2^budget_exponent."""
+    if log2_points > budget_exponent:
+        raise PointBudgetError(points, budget_exponent)
+
+
+def _generated_net(args) -> GeneratingMatrixSet | None:
+    """Check the generated-mode flags and the point budget before anything
+    is built; the net's matrices, or None in corollary (--count) mode."""
     if args.count is not None:
         if args.alpha is not None:
             raise ValueError("--alpha is fixed to 3 in corollary (--count) mode")
-        return corollary_pointset(args.s, args.count)
+        _check_points(str(args.count), max(args.count - 1, 0).bit_length(),
+                      args.budget_exponent)
+        return None
     if args.m is None:
         raise ValueError("need --m (net mode) or --count (corollary mode)")
+    _check_points(f"2^{args.m}", args.m, args.budget_exponent)
     alpha = args.alpha if args.alpha is not None else DEFAULT_SEQUENCE_ALPHA
-    g = sequence_net(args.s, alpha, args.m)
-    return net_points(g)
+    return sequence_net(args.s, alpha, args.m)
+
+
+def _generate(args) -> list[DyadicPoint]:
+    g = _generated_net(args)
+    return corollary_pointset(args.s, args.count) if g is None else net_points(g)
 
 
 def _cmd_gen(args) -> int:
-    points = _generate(args)
+    g = _generated_net(args)
+    if g is None:
+        cols, prec = _corollary_columns(args.s, args.count)
+    else:
+        cols, prec = _net_columns(g, 1 << g.width), g.depth
     if args.shift:
-        sigma = _parse_shift(args.shift, args.s)
-        points = [digital_shift(pt, sigma) for pt in points]
+        cols, prec = _shift_columns(cols, prec, _parse_shift(args.shift, args.s))
     fmt = _FORMATTERS[args.format]
-    lines = [" ".join(fmt(c, pt.precision) for c in pt.coords) for pt in points]
+    lines = [" ".join(fmt(c, prec) for c in row) for row in zip(*(c.tolist() for c in cols))]
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -157,6 +198,7 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _check_points(str(args.nmax), max(args.nmax - 1, 0).bit_length(), args.budget_exponent)
     alpha = args.alpha if args.alpha is not None else DEFAULT_SEQUENCE_ALPHA
     width = max((args.nmax - 1).bit_length(), 1)
     g = sequence_net(args.s, alpha, width)
@@ -243,6 +285,8 @@ def build_parser() -> _Parser:
     gen.add_argument("--shift", default=None, help="hex digits per coordinate, comma-separated")
     gen.add_argument("--format", choices=sorted(_FORMATTERS), default="dec")
     gen.add_argument("--out", default=None)
+    gen.add_argument("--budget-exponent", type=int, default=DEFAULT_POINT_BUDGET_EXPONENT,
+                      help="exit 3 beyond 2^E points")
     gen.set_defaults(func=_cmd_gen)
 
     disc = sub.add_parser("disc", help="L2 discrepancy of one point set")
@@ -254,6 +298,8 @@ def build_parser() -> _Parser:
     disc.add_argument("--format", choices=sorted(_FORMATTERS), default="dec")
     disc.add_argument("--exact", action="store_true")
     disc.add_argument("--out", default=None)
+    disc.add_argument("--budget-exponent", type=int, default=DEFAULT_POINT_BUDGET_EXPONENT,
+                      help="exit 3 beyond 2^E points")
     disc.set_defaults(func=_cmd_disc)
 
     scan = sub.add_parser("scan", help="prefix L2 scan as CSV")
@@ -262,6 +308,8 @@ def build_parser() -> _Parser:
     scan.add_argument("--nmax", type=int, required=True)
     scan.add_argument("--exact", action="store_true")
     scan.add_argument("--out", default=None)
+    scan.add_argument("--budget-exponent", type=int, default=DEFAULT_POINT_BUDGET_EXPONENT,
+                      help="exit 3 beyond 2^E points")
     scan.set_defaults(func=_cmd_scan)
 
     verify = sub.add_parser("verify", help="certify the order-alpha net property")
@@ -301,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VerificationBudgetError as exc:
+    except (VerificationBudgetError, PointBudgetError) as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

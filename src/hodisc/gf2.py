@@ -2,10 +2,13 @@
 
 Vectors and matrix rows are Python ints, least-significant bit first: bit i
 of a row mask holds the entry of column i+1.  Matrix-vector products reduce
-to parity-of-AND popcounts, and every GF(2) combination of rows (a point
-from matrix columns, a dual element from a kernel basis) is one xor_rows
-call or one step of span.  All types are immutable after construction, so
-instances can be shared freely across threads.
+to parity-of-AND popcounts.  A GF(2) combination of rows (one point from
+matrix columns, one dual element from a kernel basis) is one xor_rows
+call, and span lists every combination in index order at one XOR each,
+as the dual net's elements are walked; whole point sets are built by the
+same index order on numpy columns (points._net_columns).  All types are
+immutable after construction, so instances can be shared freely across
+threads.
 """
 
 from __future__ import annotations

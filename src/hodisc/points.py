@@ -11,10 +11,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+
+import numpy as np
 
 from .genmat import GeneratingMatrixSet, interlace_matrices, sobol_matrices
-from .gf2 import BitMatrix, span, xor_rows
+from .gf2 import BitMatrix, xor_rows
 
 COROLLARY_PRECISION = 128
 
@@ -80,12 +81,38 @@ def _column_numerators(g: GeneratingMatrixSet) -> tuple[tuple[int, ...], ...]:
 
     Row k maps to digit k, i.e. bit depth-k of the numerator; reversing the
     rows puts row k at index depth-k, so the numerators are the column masks
-    of the reversed matrix.  A point numerator is the XOR of the column
-    numerators picked by the index bits.  Memoised per matrix set, so
-    repeated nth_point and net_points calls share one immutable build.
+    of the reversed matrix.  The numerator of point n is the XOR of the
+    column numerators picked by the bits of n (xor_rows).  Memoised per
+    matrix set, so nth_point and the columnar builds share one immutable
+    build.
     """
     flipped = (BitMatrix.from_rows(mat.data[::-1], g.width) for mat in g.matrices)
     return tuple(tuple(rev.column_mask(l) for l in range(g.width)) for rev in flipped)
+
+
+def _net_columns(g: GeneratingMatrixSet, count: int) -> list[np.ndarray]:
+    """Per coordinate, the numerators of points 0 .. count-1 in index order.
+
+    Points 2^l .. 2^(l+1)-1 are points 0 .. 2^l-1 XOR column numerator l, so
+    doubling, col = concat(col, col ^ c), lists xor_rows(per, n) for n in
+    index order, as gf2.span does.  It stops once count entries exist.
+    uint64 holds depths up to 64; deeper numerators are Python ints in
+    object arrays.
+    """
+    levels = max(count - 1, 0).bit_length()
+    dtype = np.uint64 if g.depth <= 64 else object
+    cols = []
+    for per in _column_numerators(g):
+        col = np.zeros(1 << levels, dtype=dtype)
+        for l, c in enumerate(per[:levels]):
+            np.bitwise_xor(col[: 1 << l], c, out=col[1 << l : 2 << l])
+        cols.append(col[:count])
+    return cols
+
+
+def _points(cols: list[np.ndarray], precision: int) -> list[DyadicPoint]:
+    """One DyadicPoint per row of the numerator columns, as Python ints."""
+    return [DyadicPoint(nums, precision) for nums in zip(*(c.tolist() for c in cols))]
 
 
 def nth_point(g: GeneratingMatrixSet, n: int) -> DyadicPoint:
@@ -97,15 +124,14 @@ def nth_point(g: GeneratingMatrixSet, n: int) -> DyadicPoint:
 
 
 def net_points(g: GeneratingMatrixSet, count: int | None = None) -> list[DyadicPoint]:
-    """First ``count`` points (default all 2^width) in index order, one XOR
-    per coordinate and point."""
+    """First ``count`` points (default all 2^width) in index order, built
+    as numerator columns (_net_columns) and read out row by row."""
     total = 1 << g.width
     if count is None:
         count = total
     if not 0 <= count <= total:
         raise ValueError(f"count {count} out of range for width {g.width}")
-    coords = zip(*(span(per) for per in _column_numerators(g)))
-    return [DyadicPoint(nums, g.depth) for nums in islice(coords, count)]
+    return _points(_net_columns(g, count), g.depth)
 
 
 def interlace_point(x: DyadicPoint, alpha: int) -> DyadicPoint:
@@ -136,12 +162,24 @@ def interlace_point(x: DyadicPoint, alpha: int) -> DyadicPoint:
 
 def digital_shift(x: DyadicPoint, sigma: DyadicPoint) -> DyadicPoint:
     """Digit-wise XOR; the shorter operand is zero-padded on the right."""
-    if x.s != sigma.s:
+    if len(x.coords) != len(sigma.coords):
         raise ValueError("dimension mismatch")
     p = max(x.precision, sigma.precision)
-    xs = [c << (p - x.precision) for c in x.coords]
-    ss = [c << (p - sigma.precision) for c in sigma.coords]
-    return DyadicPoint(tuple(a ^ b for a, b in zip(xs, ss)), p)
+    dx, ds = p - x.precision, p - sigma.precision
+    return DyadicPoint(tuple((a << dx) ^ (b << ds) for a, b in zip(x.coords, sigma.coords)), p)
+
+
+def _shift_columns(
+    cols: list[np.ndarray], precision: int, sigma: DyadicPoint
+) -> tuple[list[np.ndarray], int]:
+    """digital_shift of every row of the numerator columns, one XOR per
+    column; uint64 up to a shared precision of 64, object arrays beyond."""
+    if len(cols) != len(sigma.coords):
+        raise ValueError("dimension mismatch")
+    p = max(precision, sigma.precision)
+    dtype = np.uint64 if p <= 64 else object
+    dx, ds = p - precision, p - sigma.precision
+    return [(c.astype(dtype) << dx) ^ (b << ds) for c, b in zip(cols, sigma.coords)], p
 
 
 def _prefix_matrix(m: int) -> BitMatrix:
@@ -149,7 +187,9 @@ def _prefix_matrix(m: int) -> BitMatrix:
     return BitMatrix.from_rows([1 << (m - k) for k in range(1, m + 1)], m)
 
 
-def _corollary_net(s: int, n_points: int) -> tuple[list[DyadicPoint], int]:
+def _corollary_net(s: int, n_points: int) -> tuple[list[np.ndarray], int]:
+    """Numerator columns (precision 3m) of the interlaced net's points in
+    the slab [0, N/2^m) x [0,1)^(s-1), in index order, and m."""
     if n_points < 2:
         raise ValueError("need at least two points")
     m = (n_points - 1).bit_length()
@@ -158,15 +198,24 @@ def _corollary_net(s: int, n_points: int) -> tuple[list[DyadicPoint], int]:
     base = sobol_matrices(3 * s - 1, m, m)
     mats = (_prefix_matrix(m),) + base.matrices
     src = GeneratingMatrixSet(3 * s, m, m, mats, 1, None)
-    interlaced = interlace_matrices(src, 3)
-    pts = net_points(interlaced)
-    keep = n_points << (2 * m)
-    kept = [pt for pt in pts if pt.coords[0] < keep]
-    if len(kept) != n_points:
+    cols = _net_columns(interlace_matrices(src, 3), 1 << m)
+    keep = cols[0] < n_points << (2 * m)
+    kept = [c[keep] for c in cols]
+    if len(kept[0]) != n_points:
         raise AssertionError(
-            f"first coordinate is not a (0,{m},1)-net: kept {len(kept)} of {n_points}"
+            f"first coordinate is not a (0,{m},1)-net: kept {len(kept[0])} of {n_points}"
         )
     return kept, m
+
+
+def _corollary_columns(s: int, n_points: int) -> tuple[list[np.ndarray], int]:
+    """Numerator columns of corollary_pointset and their shared precision."""
+    kept, m = _corollary_net(s, n_points)
+    if n_points == 1 << m:
+        return kept, 3 * m
+    p = COROLLARY_PRECISION
+    first = (kept[0].astype(object) << (p - 2 * m)) // n_points
+    return [first] + [c.astype(object) << (p - 3 * m) for c in kept[1:]], p
 
 
 def corollary_pointset(s: int, n_points: int) -> list[DyadicPoint]:
@@ -180,24 +229,14 @@ def corollary_pointset(s: int, n_points: int) -> list[DyadicPoint]:
     rounded toward zero.  For N = 2^m no cut or stretch happens and the
     interlaced net is returned as-is.
     """
-    kept, m = _corollary_net(s, n_points)
-    if n_points == 1 << m:
-        return kept
-    p = COROLLARY_PRECISION
-    out = []
-    for pt in kept:
-        first = (pt.coords[0] << (p - 2 * m)) // n_points
-        rest = tuple(c << (p - 3 * m) for c in pt.coords[1:])
-        out.append(DyadicPoint((first,) + rest, p))
-    return out
+    return _points(*_corollary_columns(s, n_points))
 
 
 def corollary_exact_coords(s: int, n_points: int) -> list[tuple[Fraction, ...]]:
     """Exact rational coordinates of corollary_pointset, for oracles."""
     kept, m = _corollary_net(s, n_points)
-    out = []
-    for pt in kept:
-        first = Fraction(pt.coords[0], n_points << (2 * m))
-        rest = tuple(Fraction(c, 1 << (3 * m)) for c in pt.coords[1:])
-        out.append((first,) + rest)
-    return out
+    first, rest = n_points << (2 * m), 1 << (3 * m)
+    return [
+        (Fraction(c0, first),) + tuple(Fraction(c, rest) for c in cs)
+        for c0, *cs in zip(*(c.tolist() for c in kept))
+    ]

@@ -18,7 +18,8 @@ from hodisc.cli import (
     parse_coordinate,
     read_point_file,
 )
-from hodisc.points import DyadicPoint
+from hodisc.genmat import sequence_net
+from hodisc.points import DyadicPoint, corollary_pointset, digital_shift, net_points
 
 FORMATTERS = {"dec": format_dec, "hexfrac": format_hexfrac, "bin": format_bin}
 
@@ -70,6 +71,50 @@ def test_gen_shift_applied(capsys):
         assert abs(a - b) == Fraction(1, 2)
 
 
+def _shift_point(text):
+    """The point `--shift` denotes: hex groups left-aligned at 4 bits per
+    digit of the longest group."""
+    parts = text.split(",")
+    prec = 4 * max(len(p) for p in parts)
+    return DyadicPoint(tuple(int(p, 16) << (prec - 4 * len(p)) for p in parts), prec)
+
+
+# (mode flags, shift): shift precision below, equal to and above the depth,
+# above 64 bits, on uint64 (depth <= 64) and object (depth > 64) columns,
+# and in corollary mode at precision 128 and at N = 2^m (precision 3m)
+GEN_SHIFT_CASES = [
+    (("--s", "2", "--alpha", "3", "--m", "4"), "a,5"),                       # 4 < 12
+    (("--s", "2", "--alpha", "3", "--m", "4"), "abc,123"),                   # 12 = 12
+    (("--s", "2", "--alpha", "3", "--m", "4"), "abcde,1"),                   # 20 > 12
+    (("--s", "2", "--alpha", "4", "--m", "5"), "0123456789abcdef1,f"),       # 68 > 64 > 20
+    (("--s", "2", "--alpha", "4", "--m", "5"), "fedcba9876543210,1"),        # 64 > 20
+    (("--s", "2", "--alpha", "5", "--m", "14"), "c,3"),                      # 4 < 70
+    (("--s", "2", "--alpha", "5", "--m", "14"), "0123456789abcdef01,9"),     # 72 > 70
+    (("--s", "3", "--count", "37"), "8,4,2"),                                # 4 < 128
+    (("--s", "2", "--count", "37"), "f" * 33 + ",1"),                        # 132 > 128
+    (("--s", "2", "--count", "32"), "9,6"),                                  # 4 < 15
+    (("--s", "2", "--count", "32"), "abcd1234,7"),                           # 32 > 15
+]
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATTERS))
+@pytest.mark.parametrize("flags,shift", GEN_SHIFT_CASES)
+def test_gen_shift_matches_the_pointwise_route(capsys, flags, shift, fmt):
+    code, out, _ = run(capsys, "gen", *flags, "--shift", shift, "--format", fmt)
+    assert code == EXIT_OK
+    opts = dict(zip(flags[::2], map(int, flags[1::2])))
+    if "--count" in opts:
+        pts = corollary_pointset(opts["--s"], opts["--count"])
+    else:
+        pts = net_points(sequence_net(opts["--s"], opts["--alpha"], opts["--m"]))
+    sigma = _shift_point(shift)
+    want = [digital_shift(pt, sigma) for pt in pts]
+    assert out.endswith("\n")
+    assert out.splitlines() == [
+        " ".join(FORMATTERS[fmt](c, q.precision) for c in q.coords) for q in want
+    ]
+
+
 def test_gen_deterministic(capsys):
     args = ("gen", "--s", "2", "--alpha", "3", "--m", "4", "--format", "hexfrac")
     _, first, _ = run(capsys, *args)
@@ -119,6 +164,29 @@ def test_scan_csv_shape_and_round_trip(capsys):
     report = DiscrepancyReport.parse_csv(out, s=2)
     assert report.to_csv() == out  # lossless round trip
     assert [r.n for r in report.rows] == list(range(2, 65))
+
+
+@pytest.mark.parametrize("argv,size,estimate", [
+    (("gen", "--s", "1", "--alpha", "1", "--m"), 10, "2^11"),
+    (("gen", "--s", "2", "--count"), 1 << 10, "1025"),
+    (("disc", "--s", "1", "--alpha", "1", "--m"), 10, "2^11"),
+    (("disc", "--s", "2", "--count"), 1 << 10, "1025"),
+    (("scan", "--s", "1", "--alpha", "1", "--nmax"), 1 << 10, "1025"),
+])
+def test_point_budget_exit_three(capsys, argv, size, estimate):
+    # a budget of 2^10 points: 2^10 points run, one more is refused before
+    # any point is built; small sizes, so a broken guard allocates little
+    code, _, _ = run(capsys, *argv, str(size), "--budget-exponent", "10", "--out", os.devnull)
+    assert code == EXIT_OK
+    code, out, err = run(capsys, *argv, str(size + 1), "--budget-exponent", "10")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == f"budget exceeded: generation of {estimate} points exceeds budget 2^10\n"
+
+
+def test_point_budget_default_refuses_2_to_the_40(capsys):
+    code, out, err = run(capsys, "gen", "--s", "1", "--m", "40")
+    assert code == EXIT_BUDGET and out == ""
+    assert "2^40" in err and "2^22" in err
 
 
 def test_verify_certified_exit_zero(capsys):
@@ -220,6 +288,13 @@ def test_format_helpers_exact():
     assert parse_coordinate("0.0101", "bin") == (5, 4)
     with pytest.raises(ValueError):
         parse_coordinate("0.2", "dec")  # not dyadic
+    # int() and Fraction() take digit separators and signs; no formatter writes them
+    for text, fmt in [("0x1_0p-8", "hexfrac"), ("0x1p-+3", "hexfrac"), ("0.1_0", "bin"),
+                      ("0.+1", "bin"), ("0.1_0", "dec"), ("+0.5", "dec"), ("-0", "dec")]:
+        with pytest.raises(ValueError):
+            parse_coordinate(text, fmt)
+    # a signed exponent in dec is still read, as float repr writes it
+    assert parse_coordinate("9.5367431640625e-07", "dec") == (1, 20)
 
 
 @st.composite
@@ -269,13 +344,40 @@ def test_point_files_round_trip(fmt, rows_prec):
         assert points == [DyadicPoint(tuple(row), prec) for row in rows]
 
 
+_DIGITS = {"dec": "0123456789", "hexfrac": "0123456789abcdef", "bin": "01"}
+
+
+def _separated(draw, token, fmt):
+    """token with a leading zero digit and a `_` between two digits, which
+    int() and Fraction() would read as the same value."""
+    padded = {"dec": "0" + token, "hexfrac": "0x0" + token[2:],
+              "bin": "0.0" + (token[2:] or "0")}[fmt]
+    spots = [k for k in range(1, len(padded))
+             if padded[k - 1] in _DIGITS[fmt] and padded[k] in _DIGITS[fmt]]
+    k = draw(st.sampled_from(spots))
+    parse_coordinate(padded, fmt)  # the defect alone makes the token invalid
+    return padded[:k] + "_" + padded[k:]
+
+
+def _signed(draw, token, fmt):
+    sign = draw(st.sampled_from("+-"))
+    if fmt == "hexfrac":  # "p--" is the negative-precision defect
+        return token.replace("p-", "p-+") if sign == "+" else "-" + token
+    if fmt == "bin":
+        return "0." + sign + (token[2:] or "0")
+    return sign + token
+
+
 @st.composite
 def _malformed_point_files(draw):
     """A valid point file with one defect: a ragged row, a non-dyadic dec
-    value, a hexfrac numerator of 2^prec or more, or a negative precision."""
+    value, a hexfrac numerator of 2^prec or more, a negative precision, a
+    `_` digit separator or a sign."""
     fmt, kind = draw(st.sampled_from([
         ("dec", "ragged"), ("hexfrac", "ragged"), ("bin", "ragged"),
         ("dec", "non-dyadic"), ("hexfrac", "too-large"), ("hexfrac", "negative-precision"),
+        ("dec", "separator"), ("hexfrac", "separator"), ("bin", "separator"),
+        ("dec", "sign"), ("hexfrac", "sign"), ("bin", "sign"),
     ]))
     rows, prec = draw(_point_rows())
     lines = [[FORMATTERS[fmt](c, prec) for c in row] for row in rows]
@@ -296,8 +398,12 @@ def _malformed_point_files(draw):
         lines[i][j] = token
     elif kind == "too-large":
         lines[i][j] = f"0x{draw(st.integers(1 << prec, 1 << (prec + 8))):x}p-{prec}"
-    else:
+    elif kind == "negative-precision":
         lines[i][j] = f"0x{draw(st.integers(0, 255)):x}p--{draw(st.integers(1, 70))}"
+    elif kind == "separator":
+        lines[i][j] = _separated(draw, lines[i][j], fmt)
+    else:
+        lines[i][j] = _signed(draw, lines[i][j], fmt)
     return fmt, "".join(" ".join(ln) + "\n" for ln in lines)
 
 

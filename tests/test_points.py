@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hodisc.genmat import (
     GeneratingMatrixSet,
@@ -63,6 +63,24 @@ def test_points_match_the_matrix_definition(s, depth, width, data):
         )
         assert pts[n].coords == want and pts[n].precision == depth
         assert nth_point(g, n) == pts[n]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1, 12, 63, 64, 65, 100, 128]), st.integers(0, 10),
+       st.data())
+def test_net_points_equal_nth_point_at_every_count(s, depth, width, data):
+    # uint64 columns up to depth 64, object columns beyond; every prefix
+    # length, so each doubling step is also cut part-way
+    row = st.integers(0, (1 << width) - 1)
+    mats = tuple(
+        BitMatrix.from_rows([data.draw(row) for _ in range(depth)], width) for _ in range(s)
+    )
+    g = GeneratingMatrixSet(s, depth, width, mats, 1, None)
+    want = [nth_point(g, n) for n in range(1 << width)]
+    for count in range((1 << width) + 1):
+        pts = net_points(g, count)
+        assert pts == want[:count]
+        assert all(type(c) is int for pt in pts for c in pt.coords)
 
 
 def test_sobol_m2_is_a_net():
@@ -184,6 +202,46 @@ def test_corollary_exact_sidecar_matches_fixed_point():
             for c, fr in zip(pt.coords, frs):
                 # fixed-point value is the exact value rounded toward zero
                 assert c == (fr.numerator << p) // fr.denominator
+
+
+def _cut_net_reference(s, n):
+    """The corollary construction written out from nth_point: the
+    order-3 interlace of (n 2^-m, Sobol' coordinates 1 .. 3s-1), cut to
+    first coordinate < N/2^m, as exact rationals before the stretch."""
+    m = (n - 1).bit_length()
+    prefix = BitMatrix.from_rows([1 << (m - k) for k in range(1, m + 1)], m)
+    base = sobol_matrices(3 * s - 1, m, m)
+    g = interlace_matrices(
+        GeneratingMatrixSet(3 * s, m, m, (prefix,) + base.matrices, 1, None), 3
+    )
+    rows = [nth_point(g, i).coords for i in range(1 << m)]
+    return [
+        (Fraction(c[0], n << (2 * m)),) + tuple(Fraction(x, 1 << (3 * m)) for x in c[1:])
+        for c in rows if Fraction(c[0], 1 << (3 * m)) < Fraction(n, 1 << m)
+    ]
+
+
+def _corollary_sizes():
+    sampled = [2, 3, 5, 6, 7, 11, 13, 37, 100, 129, 257, 300, 511, 600]
+    around = [(1 << m) + d for m in range(1, 10) for d in (-1, 0, 1) if (1 << m) + d >= 2]
+    return sorted(set(sampled + around))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_corollary_pointset_is_the_floor_of_the_exact_coords(s):
+    for n in _corollary_sizes():
+        pts = corollary_pointset(s, n)
+        exact = corollary_exact_coords(s, n)
+        assert exact == _cut_net_reference(s, n)
+        m = (n - 1).bit_length()
+        assert len(pts) == n
+        for pt, frs in zip(pts, exact):
+            assert pt.precision == (3 * m if n == 1 << m else 128)
+            assert all(type(c) is int for c in pt.coords)
+            # the 128-bit floor; at N = 2^m the 3m-bit numerators are exact
+            assert [c << (128 - pt.precision) for c in pt.coords] == [
+                (fr.numerator << 128) // fr.denominator for fr in frs
+            ]
 
 
 def test_corollary_rejects_tiny_n():
