@@ -54,13 +54,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _dec_formatter(prec: int):
+    """format_dec for one precision, with 5^prec computed once; it takes
+    (num, prec) like every formatter and ignores the second argument."""
+    five = 5**prec
+
+    def format_dec_at(num: int, _prec: int) -> str:
+        if num == 0:
+            return "0"
+        digits = str(num * five).rjust(prec, "0")
+        frac = digits.rstrip("0") or "0"
+        return "0." + frac
+
+    return format_dec_at
+
+
 def format_dec(num: int, prec: int) -> str:
     """Exact decimal expansion of num * 2^-prec."""
-    if num == 0:
-        return "0"
-    digits = str(num * 5**prec).rjust(prec, "0")
-    frac = digits.rstrip("0") or "0"
-    return "0." + frac
+    return _dec_formatter(prec)(num, prec)
 
 
 def format_hexfrac(num: int, prec: int) -> str:
@@ -73,6 +84,7 @@ def format_bin(num: int, prec: int) -> str:
 
 _FORMATTERS = {"dec": format_dec, "hexfrac": format_hexfrac, "bin": format_bin}
 _SIGNS = {"+", "-"}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
@@ -136,9 +148,16 @@ def _emit(lines: Sequence[str], out_path: str | None) -> None:
 
 
 def _parse_shift(text: str, s: int) -> DyadicPoint:
+    """The shift of s comma-separated groups of hex digits, each left-aligned
+    at 4 bits per digit of the longest group.  A group is digits only: int()
+    would also take a sign, a `0x` prefix or a `_`, which would move the
+    digits, since the group's length sets their place."""
     parts = text.split(",")
     if len(parts) != s:
         raise ValueError(f"shift needs {s} comma-separated hex groups")
+    for p in parts:
+        if not p or not set(p) <= _HEX_DIGITS:
+            raise ValueError(f"bad shift group {p!r}: hex digits 0-9a-fA-F only")
     nums = []
     prec = 4 * max(len(p) for p in parts)
     for p in parts:
@@ -179,9 +198,11 @@ def _cmd_gen(args) -> int:
         cols, prec = _corollary_columns(args.s, args.count)
     else:
         cols, prec = _net_columns(g, 1 << g.width), g.depth
-    if args.shift:
+    if args.shift is not None:
         cols, prec = _shift_columns(cols, prec, _parse_shift(args.shift, args.s))
     fmt = _FORMATTERS[args.format]
+    if args.format == "dec":
+        fmt = _dec_formatter(prec)
     lines = [" ".join(fmt(c, prec) for c in row) for row in zip(*(c.tolist() for c in cols))]
     _emit(lines, args.out)
     return EXIT_OK
@@ -235,6 +256,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    if args.check:
+        _check_points(f"2^{args.m}", args.m, args.budget_exponent)
     g = sequence_net(args.s, args.alpha, args.m)
     try:
         dual = dual_enumerate(g, budget_exponent=args.budget_exponent)
@@ -324,7 +347,8 @@ def build_parser() -> _Parser:
     dual.add_argument("--s", type=int, required=True)
     dual.add_argument("--alpha", type=int, required=True)
     dual.add_argument("--m", type=int, required=True)
-    dual.add_argument("--budget-exponent", type=int, default=24)
+    dual.add_argument("--budget-exponent", type=int, default=24,
+                      help="exit 3 beyond 2^E dual elements or, with --check, 2^E points")
     dual.add_argument("--check", action="store_true", help="append character sums")
     dual.add_argument("--out", default=None)
     dual.set_defaults(func=_cmd_dual)

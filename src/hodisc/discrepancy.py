@@ -5,13 +5,19 @@ The squared L2 discrepancy of points x_0..x_{N-1} in [0,1)^s is
     3^-s - (2/N) S1 + S2/N^2,   S1 = sum_n prod_j (1 - x_nj^2)/2,
                                 S2 = sum_{n,m} prod_j (1 - max(x_nj, x_mj)).
 
-S1 is always an exact integer in the fixed-point domain, and S2 runs over
-per-dimension columns of 1 - x (1 - max(x,y) = min(1-x, 1-y)).  Two kernels
-compute S2, chosen by the dimension and by one-shot versus scan:
+Every path reads the points once, into one numerator column per coordinate
+(object arrays of Python ints at one common precision), and does its exact
+integer work over those arrays.  S1 is an exact integer in the fixed-point
+domain, one array product over the columns, and S2 runs over the columns of
+1 - x (1 - max(x,y) = min(1-x, 1-y)).  Three kernels compute S2, chosen by
+the dimension and by one-shot versus scan:
 
-* the dominance sweep (Heinrich, Math. Comp. 65, 1996) for one-shots with
-  s <= 2 and scans with s = 1: O(N log N) exact integer operations over
-  log N levels of int64 sorts, with no size limit;
+* one sort for one-shots at s = 1: over the complements in ascending order,
+  S2 = sum_{i=0}^{N-1} b_(i) (2(N - i) - 1);
+* the dominance sweep (Heinrich, Math. Comp. 65, 1996) for one-shots at
+  s = 2 and scans at s = 1: O(N log N) exact integer operations over log N
+  levels, each one int64 argsort and prefix sums over 31-bit int64 limbs of
+  the complements, which are combined into Python ints once at the end;
 * the O(N^2 s) row loop for scans with s >= 2 and one-shots with s >= 3:
   one pass that yields S2 after every point, so the one-shot value is the
   scan's last row.  Exact mode keeps Python integers and is limited to
@@ -20,8 +26,9 @@ compute S2, chosen by the dimension and by one-shot versus scan:
 
 Every value closes with one integer numerator over one integer denominator:
 a Fraction in exact mode, otherwise the float that division rounds
-correctly from it.  A float from the sweep is thus the rounded exact value,
-and one from the row loop the rounded exact sum of its float64 rows.
+correctly from it (a scan builds both as arrays over all its rows).  A
+float from the sort or the sweep is thus the rounded exact value, and one
+from the row loop the rounded exact sum of its float64 rows.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,32 +48,34 @@ from .walsh import r_coeff, wal_vec
 
 EXACT_LIMIT = 1024
 SERIES_BUDGET = 200_000
+LIMB_BITS = 31
 
 
-def _normalize(points: Sequence[DyadicPoint]) -> tuple[list[tuple[int, ...]], int, int]:
-    """Common (numerators, precision, dimension); pads shorter precisions."""
+def _columns(points: Sequence[DyadicPoint]) -> tuple[list[np.ndarray], int, int]:
+    """(columns, precision, dimension): one object array of Python-int
+    numerators per coordinate, all at the largest precision.  Lower
+    precisions are padded by one shift array, built only when they differ."""
     if not points:
         raise ValueError("empty point set")
-    s = points[0].s
-    prec = max(pt.precision for pt in points)
-    nums = []
-    for pt in points:
-        if pt.s != s:
-            raise ValueError("points must share a dimension")
-        shift = prec - pt.precision
-        nums.append(tuple(c << shift for c in pt.coords))
-    return nums, prec, s
+    coords = list(map(attrgetter("coords"), points))
+    s = len(coords[0])
+    if set(map(len, coords)) != {s}:
+        raise ValueError("points must share a dimension")
+    cols = [np.array(c, dtype=object) for c in zip(*coords)]
+    precs = list(map(attrgetter("precision"), points))
+    prec = max(precs)
+    if min(precs) != prec:
+        shift = prec - np.array(precs, dtype=object)
+        cols = [c << shift for c in cols]
+    return cols, prec, s
 
 
-def _complements(nums: list[tuple[int, ...]], prec: int, j: int) -> np.ndarray:
+def _complements(cols: list[np.ndarray], prec: int, j: int) -> np.ndarray:
     """1 - x_j of every point as Python ints in units of 2^-prec."""
-    one = 1 << prec
-    return np.array([one - row[j] for row in nums], dtype=object)
+    return (1 << prec) - cols[j]
 
 
-def _prefix_sums(
-    nums: list[tuple[int, ...]], prec: int, s: int, exact: bool
-) -> Iterator[int]:
+def _prefix_sums(cols: list[np.ndarray], prec: int, exact: bool) -> Iterator[int]:
     """Yield S2 over the first N points, for N = 1, 2, ..., as an int in
     units of 2^-sp.
 
@@ -77,17 +87,18 @@ def _prefix_sums(
     2^-u for u <= 1074, while above that every float is one), so the shift
     below is never negative.
     """
-    if exact and len(nums) > EXACT_LIMIT:
+    count, s = len(cols[0]), len(cols)
+    if exact and count > EXACT_LIMIT:
         raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
-    cols = [_complements(nums, prec, j) for j in range(s)]
+    comps = [_complements(cols, prec, j) for j in range(s)]
     if not exact:
         one = 1 << prec
-        cols = [(col / one).astype(float) for col in cols]
+        comps = [(col / one).astype(float) for col in comps]
     s2 = 0
-    for n in range(len(nums)):
-        row = np.minimum(cols[0][:n], cols[0][n])
-        diag = cols[0][n]
-        for col in cols[1:]:
+    for n in range(count):
+        row = np.minimum(comps[0][:n], comps[0][n])
+        diag = comps[0][n]
+        for col in comps[1:]:
             row *= np.minimum(col[:n], col[n])
             diag *= col[n]
         added = 2 * row.sum() + diag
@@ -98,79 +109,113 @@ def _prefix_sums(
         yield s2
 
 
+def _limbs(b: np.ndarray) -> list[np.ndarray]:
+    """Non-negative Python ints as LIMB_BITS-bit int64 limbs, least
+    significant first (at least one).  The ints leave the object array two
+    limbs at a time."""
+    count = max(-(-int(b.max()).bit_length() // LIMB_BITS), 1)
+    mask = (1 << LIMB_BITS) - 1
+    limbs = []
+    for k in range(0, count, 2):
+        word = ((b >> LIMB_BITS * k if k else b) & (1 << 2 * LIMB_BITS) - 1).astype(np.int64)
+        limbs += [word & mask, word >> LIMB_BITS]
+    return limbs[:count]
+
+
+def _ascending(limbs: list[np.ndarray]) -> np.ndarray:
+    """Indices that sort the values given by their limbs, by one lexsort
+    over pairs of limbs (int64 keys below 2^62)."""
+    pairs = [lo | hi << LIMB_BITS for lo, hi in zip(limbs[::2], limbs[1::2])]
+    return np.lexsort(pairs + limbs[2 * len(pairs):])
+
+
 def _dominance_sums(b: np.ndarray) -> np.ndarray:
-    """T[k] = sum_{l>k} min(b[k], b[l]) for an object array of Python ints.
+    """T[k] = sum_{l>k} min(b[k], b[l]) for an object array of non-negative
+    Python ints.
 
     Works bottom-up over positions like a merge sort: at each width every
     left half-block adds its sums against the right half-block next to it.
-    Right halves sorted by (block, rank of b) give, by binary search, each
-    left point's block, the right points below it and their prefix sum.
-    Tied values may fall on either side, as min(v, v) = v.
+    One argsort of (block, rank of b), a unique key, lists each block in
+    ascending b; exclusive prefix sums of the right-half indicator and of
+    the right-half limbs in that order give each left point the count and
+    the sum of the right points below it, as differences at its block's
+    start.  Tied values may fall on either side, as min(v, v) = v.  Every
+    limb is below 2^31, and every prefix sum and every accumulated below-sum
+    adds each point at most once, so all stay below n 2^31 < 2^63 for
+    n < 2^32; the limbs become Python ints once, at the end.
     """
     n = len(b)
+    limbs = _limbs(b)
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(b, kind="stable")] = np.arange(n)
+    rank[_ascending(limbs)] = np.arange(n)
     pos = np.arange(n)
-    sums = np.zeros(n, dtype=object)
+    below = [np.zeros(n, dtype=np.int64) for _ in limbs]
+    above = np.zeros(n, dtype=np.int64)
+    prefix = np.zeros(n + 1, dtype=np.int64)
     half = 1
     while half < n:
-        block = pos // (2 * half)
-        key = block * n + rank
-        right = (pos & half) != 0
-        left = ~right
-        rkey = key[right]
-        order = np.argsort(rkey)
-        rkey = rkey[order]
-        csum = np.concatenate(([0], np.cumsum(b[right][order])))
-        lo = block[left] * n
-        start = np.searchsorted(rkey, lo)
-        stop = np.searchsorted(rkey, lo + n)
-        cut = np.searchsorted(rkey, key[left])
-        # two updates keep one array of new big ints alive at a time, not two
-        sums[left] += csum[cut] - csum[start]
-        sums[left] += b[left] * (stop - cut)
-        half *= 2
+        width = 2 * half
+        order = np.argsort(pos // width * n + rank)
+        right = (order & half) != 0
+        lp = np.flatnonzero(~right)
+        start = lp // width * width
+        left = order[lp]
+        np.cumsum(right, out=prefix[1:])
+        under = prefix[lp] - prefix[start]
+        right_count = np.clip(np.minimum(start + width, n) - start - half, 0, None)
+        above[left] += right_count - under
+        for limb, acc in zip(limbs, below):
+            np.cumsum(np.where(right, limb[order], 0), out=prefix[1:])
+            acc[left] += prefix[lp] - prefix[start]
+        half = width
+    sums = b * above.astype(object)
+    for k, acc in enumerate(below):
+        sums += acc.astype(object) << (LIMB_BITS * k)
     return sums
 
 
-def _point_terms(nums: list[tuple[int, ...]], prec: int) -> Iterator[int]:
-    """prod_j (1 - x_j^2)/2 of every point, in units of 2^-s(2p+1)."""
+def _point_terms(cols: list[np.ndarray], prec: int) -> np.ndarray:
+    """prod_j (1 - x_j^2)/2 of every point as Python ints, in units of
+    2^-s(2p+1)."""
     one2 = 1 << 2 * prec
-    return (math.prod(one2 - c * c for c in row) for row in nums)
+    terms = one2 - cols[0] * cols[0]
+    for col in cols[1:]:
+        terms = terms * (one2 - col * col)
+    return terms
 
 
-def _sweep_pair_sum(nums: list[tuple[int, ...]], prec: int, s: int) -> int:
-    """Exact S2 for s <= 2 by one dominance sweep.
+def _pair_sum(cols: list[np.ndarray], prec: int) -> int:
+    """Exact S2 for s <= 2.
 
-    At s = 2 the points are sorted by a = 1 - x_1, so min(a_k, a_l) = a_k
-    for k < l and S2 = 2 sum_k a_k T_k + sum_k a_k b_k with T over b = 1 - x_2.
+    At s = 1 one sort does: over b = 1 - x ascending, b_(i) is the min of
+    its pair with itself and of both pairs with each of the N - 1 - i later
+    values, so S2 = sum_i b_(i) (2(N - i) - 1).  At s = 2 the points are
+    sorted by a = 1 - x_1, so min(a_k, a_l) = a_k for k < l and
+    S2 = 2 sum_k a_k T_k + sum_k a_k b_k with T over b = 1 - x_2.
     """
-    a = _complements(nums, prec, 0)
-    if s == 1:
-        return 2 * _dominance_sums(a).sum() + a.sum()
-    order = np.argsort(a, kind="stable")
+    a = _complements(cols, prec, 0)
+    order = _ascending(_limbs(a))
     a = a[order]
-    b = _complements(nums, prec, 1)[order]
+    if len(cols) == 1:
+        return a.dot(np.arange(2 * len(a) - 1, 0, -2).astype(object))
+    b = _complements(cols, prec, 1)[order]
     return 2 * a.dot(_dominance_sums(b)) + a.dot(b)
 
 
-def _sweep_prefix_sums(nums: list[tuple[int, ...]], prec: int) -> np.ndarray:
+def _sweep_prefix_sums(cols: list[np.ndarray], prec: int) -> np.ndarray:
     """Exact S2 of every prefix of a 1-d point list, as Python ints.
 
     The sweep over the reversed list sums each point's kernel with every
     earlier point, so point n adds 2 T_n + b_n to S2.
     """
-    b = _complements(nums, prec, 0)
+    b = _complements(cols, prec, 0)
     earlier = _dominance_sums(b[::-1])[::-1]
     return np.cumsum(2 * earlier + b)
 
 
-def _rational_value(
-    count: int, s1: int, s2: int, s: int, prec: int, exact: bool
-) -> float | Fraction:
-    """3^-s - (2/N) S1 + S2/N^2 as one integer numerator over one integer
-    denominator: a Fraction in exact mode, and otherwise the float that
-    int/int division rounds correctly from it."""
+def _rational_parts(count, s1, s2, s: int, prec: int):
+    """Numerator and denominator of 3^-s - (2/N) S1 + S2/N^2, as Python ints
+    or as object arrays of them over several (N, S1, S2)."""
     three = 3**s
     scale = s * (2 * prec + 1)
     num = (
@@ -179,17 +224,21 @@ def _rational_value(
         + (three * s2 << s * (prec + 1))
     )
     den = three * count * count << scale
-    return Fraction(num, den) if exact else num / den
+    return num, den
 
 
 def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool = False) -> float | Fraction:
-    """Squared L2 discrepancy; Fraction in exact mode, float otherwise."""
-    nums, prec, s = _normalize(points)
+    """Squared L2 discrepancy; Fraction in exact mode, float otherwise.
+
+    The float is the one that int/int division rounds correctly from the
+    exact numerator and denominator."""
+    cols, prec, s = _columns(points)
     if s <= 2:
-        s2 = _sweep_pair_sum(nums, prec, s)
+        s2 = _pair_sum(cols, prec)
     else:
-        s2 = deque(_prefix_sums(nums, prec, s, exact), maxlen=1).pop()
-    return _rational_value(len(nums), sum(_point_terms(nums, prec)), s2, s, prec, exact)
+        s2 = deque(_prefix_sums(cols, prec, exact), maxlen=1).pop()
+    num, den = _rational_parts(len(points), _point_terms(cols, prec).sum(), s2, s, prec)
+    return Fraction(num, den) if exact else num / den
 
 
 def warnock_l2(points: Sequence[DyadicPoint], exact: bool = False) -> float:
@@ -242,12 +291,6 @@ class DiscrepancyReport:
         return report
 
 
-def _ratios(n: int, l2: float, s: int) -> tuple[float, float]:
-    log_pow = math.log(n) ** ((s - 1) / 2)
-    roth = l2 * n / log_pow
-    return roth, roth / math.sqrt(sum_of_digits(n))
-
-
 def warnock_scan(
     seq: Iterable[DyadicPoint], n_max: int, exact: bool = False
 ) -> DiscrepancyReport:
@@ -257,25 +300,34 @@ def warnock_scan(
     O(n_max log n_max), and each row is the square root of the correctly
     rounded exact value in both modes.  At s >= 2 the row loop keeps a
     running integer S2, so the scan costs O(n_max^2 * s) kernel evaluations
-    and exact mode is limited to EXACT_LIMIT points.
+    and exact mode is limited to EXACT_LIMIT points.  Numerators and
+    denominators of all rows are object arrays; the float division and the
+    square root (both correctly rounded) run over them, while the log in
+    the ratios stays per row, as libm's.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     points = list(islice(seq, n_max))
     if len(points) < n_max:
         raise ValueError(f"stream ended after {len(points)} points, need {n_max}")
-    nums, prec, s = _normalize(points)
+    cols, prec, s = _columns(points)
     if s == 1:
-        pair_sums = _sweep_prefix_sums(nums, prec)
+        pair_sums = _sweep_prefix_sums(cols, prec)
     else:
-        pair_sums = _prefix_sums(nums, prec, s, exact)
-    prefixes = zip(range(1, n_max + 1), accumulate(_point_terms(nums, prec)), pair_sums)
-    report = DiscrepancyReport(s=s)
-    for count, s1, s2 in islice(prefixes, 1, None):
-        l2 = math.sqrt(_rational_value(count, s1, s2, s, prec, exact))
-        roth, proinov = _ratios(count, l2, s)
-        report.rows.append(ScanRow(count, l2, sum_of_digits(count), roth, proinov))
-    return report
+        pair_sums = np.fromiter(_prefix_sums(cols, prec, exact), dtype=object, count=n_max)
+    counts = range(2, n_max + 1)
+    num, den = _rational_parts(np.array(counts, dtype=object),
+                               np.cumsum(_point_terms(cols, prec))[1:], pair_sums[1:], s, prec)
+    if exact:
+        l2 = np.array([math.sqrt(Fraction(a, b)) for a, b in zip(num, den)])
+    else:
+        l2 = np.sqrt((num / den).astype(float))
+    digits = list(map(sum_of_digits, counts))
+    exponent = (s - 1) / 2
+    roth = l2 * np.array(counts, dtype=float) / [math.log(n) ** exponent for n in counts]
+    proinov = roth / np.sqrt(np.array(digits, dtype=float))
+    rows = map(ScanRow, counts, l2.tolist(), digits, roth.tolist(), proinov.tolist())
+    return DiscrepancyReport(s=s, rows=list(rows))
 
 
 def _scalar_pairs(k_limit: int) -> list[tuple[int, int, Fraction]]:
@@ -300,7 +352,7 @@ def walsh_series_l2(
     rejected with a cost estimate when the nonzero-pair count exceeds the
     budget (cost grows as 4^(s*trunc)).
     """
-    nums, prec, s = _normalize(points)
+    s = _columns(points)[2]
     if s > 2:
         raise ValueError("series evaluation supports s <= 2 only")
     if trunc < 0:
@@ -348,19 +400,19 @@ def quadrature_oracle_l2(points: Sequence[DyadicPoint], grid: int | None = None)
     sorting (no grid).  s = 2: midpoint rule for |Delta|^2 on the
     2^grid x 2^grid mesh, with O(2^-grid) bias.  Larger s is rejected.
     """
-    nums, prec, s = _normalize(points)
+    cols, prec, s = _columns(points)
     if s == 1:
-        return _quadrature_1d(nums, prec)
+        return _quadrature_1d(cols[0], prec)
     if s == 2:
         if grid is None:
             raise ValueError("s = 2 needs a grid exponent")
-        return _quadrature_2d(nums, prec, int(grid))
+        return _quadrature_2d(cols, prec, int(grid))
     raise ValueError("quadrature oracle supports s <= 2 only")
 
 
-def _quadrature_1d(nums, prec) -> float:
-    n = len(nums)
-    values = sorted(Fraction(row[0], 1 << prec) for row in nums)
+def _quadrature_1d(col: np.ndarray, prec: int) -> float:
+    n = len(col)
+    values = [Fraction(c, 1 << prec) for c in sorted(col.tolist())]
     bounds = [Fraction(0)] + values + [Fraction(1)]
     total = Fraction(0)
     for i in range(n + 1):
@@ -372,17 +424,16 @@ def _quadrature_1d(nums, prec) -> float:
     return math.sqrt(total)
 
 
-def _quadrature_2d(nums, prec, grid: int) -> float:
+def _quadrature_2d(cols: list[np.ndarray], prec: int, grid: int) -> float:
     if grid < 1:
         raise ValueError("grid exponent must be >= 1")
-    n = len(nums)
+    n = len(cols[0])
     cells = 1 << grid
     fine = grid + 1
     bins = np.zeros((2, n), dtype=np.int64)
     for j in range(2):
-        for i, row in enumerate(nums):
-            q = row[j] >> (prec - fine) if prec >= fine else row[j] << (fine - prec)
-            bins[j, i] = (q + 1) // 2
+        q = cols[j] >> (prec - fine) if prec >= fine else cols[j] << (fine - prec)
+        bins[j] = ((q + 1) // 2).astype(np.int64)
     hist = np.zeros((cells, cells), dtype=np.int64)
     inside = (bins[0] < cells) & (bins[1] < cells)
     np.add.at(hist, (bins[0][inside], bins[1][inside]), 1)

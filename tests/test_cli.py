@@ -115,6 +115,18 @@ def test_gen_shift_matches_the_pointwise_route(capsys, flags, shift, fmt):
     ]
 
 
+@pytest.mark.parametrize("s,shift", [
+    (1, "f_f"), (1, "+ff"), (1, "0xff"), (2, "ff,"), (1, ""), (1, "-1"), (1, " ff"),
+])
+def test_gen_shift_takes_hex_digits_only(capsys, s, shift):
+    # int(p, 16) reads a `_`, a sign or a 0x prefix, and the group's length
+    # would then move its digits; an empty --shift is an error, not no shift
+    code, out, err = run(capsys, "gen", "--s", str(s), "--alpha", "1", "--m", "1",
+                         "--shift", shift)
+    assert code == EXIT_USAGE and out == ""
+    assert "shift" in err
+
+
 def test_gen_deterministic(capsys):
     args = ("gen", "--s", "2", "--alpha", "3", "--m", "4", "--format", "hexfrac")
     _, first, _ = run(capsys, *args)
@@ -224,6 +236,17 @@ def test_dual_listing(capsys):
     assert code == EXIT_OK
     # identity net: truncated-range dual holds only the zero vector
     assert out.splitlines()[0].endswith("dual_size=1")
+
+
+def test_dual_check_point_budget(capsys):
+    # --check builds all 2^m points: 2^10 run, 2^11 are refused before any is built
+    code, out, _ = run(capsys, "dual", "--s", "1", "--alpha", "1", "--m", "10", "--check",
+                       "--budget-exponent", "10")
+    assert code == EXIT_OK and out.startswith("# s=1 m=10 ")
+    code, out, err = run(capsys, "dual", "--s", "1", "--alpha", "1", "--m", "11", "--check",
+                         "--budget-exponent", "10")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget exceeded: generation of 2^11 points exceeds budget 2^10\n"
 
 
 def test_rtable(capsys):

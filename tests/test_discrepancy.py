@@ -2,11 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodisc.discrepancy import (
     DiscrepancyReport,
+    _columns,
+    _dominance_sums,
     quadrature_oracle_l2,
     sum_of_digits,
     walsh_series_l2,
@@ -152,6 +155,65 @@ def test_sweep_matches_definition(points):
     exact = warnock_l2_sq(points, exact=True)
     assert exact == _definition_l2_sq(points)
     assert warnock_l2_sq(points) == float(exact)
+
+
+def _mixed_pointset(rng: random.Random, s: int, n: int, top_prec: int = 128):
+    """n points of precisions 0..top_prec, a third of them copies of earlier
+    coordinates (at their own precision), so ties cross precisions."""
+    pts = []
+    for _ in range(n):
+        p = rng.randint(0, top_prec)
+        if pts and rng.random() < 1 / 3:
+            old = rng.choice(pts)
+            if old.precision <= p:
+                pts.append(DyadicPoint(tuple(c << p - old.precision for c in old.coords), p))
+                continue
+        pts.append(DyadicPoint(tuple(rng.randrange(1 << p) for _ in range(s)), p))
+    return pts
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.lists(
+    st.one_of(st.sampled_from([0, 1, 1 << 31, (1 << 62) - 1, 1 << 64, (1 << 130) - 1]),
+              st.integers(0, 8), st.integers(0, 1 << 130)),
+    min_size=n, max_size=n)))
+def test_dominance_sums_match_the_direct_sum(values):
+    # n up to 300 crosses several powers of two, so the sweep runs up to
+    # nine levels; values up to 2^130 span five 31-bit limbs, with many ties
+    got = _dominance_sums(np.array(values, dtype=object))
+    assert got.tolist() == [sum(min(v, w) for w in values[k + 1:]) for k, v in enumerate(values)]
+
+
+def test_exact_sum_and_sweep_match_definition_on_larger_mixed_sets():
+    # 100 to 200 points run the 1-d sort and the 2-d sweep over 7 or 8 levels
+    rng = random.Random(21)
+    for s, n in ((1, 100), (1, 200), (2, 128), (2, 200)):
+        pts = _mixed_pointset(rng, s, n)
+        exact = warnock_l2_sq(pts, exact=True)
+        assert exact == _definition_l2_sq(pts)
+        assert warnock_l2_sq(pts) == float(exact)
+
+
+def test_scan_rows_equal_prefix_one_shots_at_s1():
+    pts = _mixed_pointset(random.Random(22), 1, 300)
+    flo = warnock_scan(pts, 300).rows
+    exa = warnock_scan(pts, 300, exact=True).rows
+    assert len(flo) == len(exa) == 299
+    for f, e in zip(flo, exa):
+        prefix = pts[: f.n]
+        assert f.n == e.n
+        assert f.l2 == math.sqrt(warnock_l2_sq(prefix))
+        assert e.l2 == math.sqrt(warnock_l2_sq(prefix, exact=True))
+
+
+def test_columns_reject_empty_and_mixed_dimensions():
+    with pytest.raises(ValueError, match="empty"):
+        _columns([])
+    with pytest.raises(ValueError, match="dimension"):
+        _columns([DyadicPoint((1, 2), 2), DyadicPoint((1,), 2)])
+    cols, prec, s = _columns([DyadicPoint((1, 2), 2), DyadicPoint((3, 0), 4)])
+    assert (prec, s) == (4, 2)
+    assert [c.tolist() for c in cols] == [[4, 3], [8, 0]]
 
 
 def test_mixed_precision_points_are_padded():
