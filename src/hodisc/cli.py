@@ -37,7 +37,7 @@ EXIT_USAGE = 64
 
 DEFAULT_SEQUENCE_ALPHA = 5  # scan/gen sequence mode
 COROLLARY_ALPHA = 3  # fixed by the finite-N construction
-DEFAULT_POINT_BUDGET_EXPONENT = 22  # gen, disc and scan build at most 2^22 points
+DEFAULT_POINT_BUDGET_EXPONENT = 22  # at most 2^22 points (gen, disc, scan) or lines (rtable)
 
 
 class PointBudgetError(Exception):
@@ -279,6 +279,10 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_rtable(args) -> int:
+    if 2 * args.kmax > DEFAULT_POINT_BUDGET_EXPONENT:
+        sys.stderr.write(f"budget exceeded: rtable of 4^{args.kmax} = {4**args.kmax} lines "
+                         f"exceeds budget 2^{DEFAULT_POINT_BUDGET_EXPONENT}\n")
+        return EXIT_BUDGET
     lines = ["k,l,numerator,denominator"]
     top = 1 << args.kmax
     for k in range(top):
@@ -353,7 +357,7 @@ def build_parser() -> _Parser:
     dual.add_argument("--out", default=None)
     dual.set_defaults(func=_cmd_dual)
 
-    rtable = sub.add_parser("rtable", help="dump r(k,l) for k,l < 2^K as CSV")
+    rtable = sub.add_parser("rtable", help="dump r(k,l) for k,l < 2^K as CSV, K <= 11")
     rtable.add_argument("--kmax", type=int, required=True)
     rtable.add_argument("--out", default=None)
     rtable.set_defaults(func=_cmd_rtable)

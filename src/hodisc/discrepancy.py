@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .points import DyadicPoint
-from .walsh import r_coeff, wal_vec
+from .walsh import r_coeff
 
 EXACT_LIMIT = 1024
 SERIES_BUDGET = 200_000
@@ -330,14 +330,19 @@ def warnock_scan(
     return DiscrepancyReport(s=s, rows=list(rows))
 
 
-def _scalar_pairs(k_limit: int) -> list[tuple[int, int, Fraction]]:
-    """Nonzero (k, l, r(k,l)) with 0 <= k, l < k_limit."""
+def _r_table(trunc: int) -> list[tuple[int, int, Fraction]]:
+    """Nonzero (k, l, r(k, l)) with k, l < 2^trunc, sorted.  By r_coeff's
+    cases l agrees with k below the top set bits (l = k included), is k
+    without its top two bits or is k plus two higher bits, and these never
+    coincide: 5 * 2^trunc - 2 trunc - 4 entries."""
     out = []
-    for k in range(k_limit):
-        for l in range(k_limit):
-            r = r_coeff(k, l)
-            if r:
-                out.append((k, l, r))
+    for k in range(1 << trunc):
+        rest = k ^ (1 << k.bit_length() >> 1)
+        higher = [1 << b for b in range(k.bit_length(), trunc)]
+        ls = [rest | 1 << b for b in range(rest.bit_length(), trunc)]
+        ls += [rest ^ (1 << rest.bit_length() >> 1)]
+        ls += [k | h | g for i, h in enumerate(higher) for g in higher[:i]]
+        out += [(k, l, r_coeff(k, l)) for l in sorted(ls)]
     return out
 
 
@@ -346,51 +351,40 @@ def walsh_series_l2(
 ) -> float:
     """Truncated double Walsh series of the squared L2 discrepancy.
 
-    Sums r(k, l) * mean(wal_k) * mean(wal_l) over all index vectors with
-    components below 2^trunc, excluding the all-zero vectors, using exact
-    rational accumulation.  Returns the squared-discrepancy partial sum;
-    rejected with a cost estimate when the nonzero-pair count exceeds the
-    budget (cost grows as 4^(s*trunc)).
+    Sums r(k, l) W(k) W(l), W(k) the mean of wal_k, exactly over all index
+    vectors with components below 2^trunc except the all-zero ones: one
+    Walsh-Hadamard transform of the bit-reversed point histogram gives N W,
+    and the r table scaled to integers acts along each axis (see
+    docs/oracle_formulas.md, section 6).  Rejected with its cost estimate,
+    before any work, when its sparse products exceed the budget.
     """
-    s = _columns(points)[2]
-    if s > 2:
-        raise ValueError("series evaluation supports s <= 2 only")
+    cols, prec, s = _columns(points)
     if trunc < 0:
         raise ValueError("negative truncation")
-    k_limit = 1 << trunc
-    pairs = _scalar_pairs(k_limit)
-    if s == 1:
-        live = [(k, l, r) for k, l, r in pairs if k and l]
-        if len(live) > budget:
-            raise ValueError(f"series cost {len(live)} pairs exceeds budget {budget}")
-        means = _wal_means(points, [(k,) for k in range(k_limit)])
-        total = Fraction(0)
-        for k, l, r in live:
-            total += r * means[k] * means[l]
-        return float(total)
-    estimate = len(pairs) * len(pairs)
+    top = 1 << trunc
+    estimate = s * (5 * top - 2 * trunc - 4) << (s - 1) * trunc
     if estimate > budget:
-        raise ValueError(f"series cost {estimate} pair combinations exceeds budget {budget}")
-    mean_cache: dict[tuple[int, int], Fraction] = {}
-
-    def mean(kvec: tuple[int, int]) -> Fraction:
-        got = mean_cache.get(kvec)
-        if got is None:
-            got = Fraction(sum(wal_vec(kvec, pt) for pt in points), len(points))
-            mean_cache[kvec] = got
-        return got
-
-    total = Fraction(0)
-    for k1, l1, r1 in pairs:
-        for k2, l2, r2 in pairs:
-            if (k1 or k2) and (l1 or l2):
-                total += r1 * r2 * mean((k1, k2)) * mean((l1, l2))
-    return float(total)
-
-
-def _wal_means(points: Sequence[DyadicPoint], kvecs) -> list[Fraction]:
-    n = len(points)
-    return [Fraction(sum(wal_vec(kv, pt) for pt in points), n) for kv in kvecs]
+        raise ValueError(f"series cost {estimate} sparse products exceeds budget {budget}")
+    cell = np.zeros(len(points), dtype=np.int64)
+    for col in cols:
+        cut = (col >> prec - trunc if prec >= trunc else col << trunc - prec).astype(np.int64)
+        for i in range(trunc):
+            cell = cell << 1 | cut >> i & 1
+    sums = np.bincount(cell, minlength=top**s)
+    for b in range(s * trunc):
+        pairs = sums.reshape(-1, 2, 1 << b)
+        sums = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).ravel()
+    sums = sums.astype(object)
+    sums[0] = 0
+    scale = 3 << 2 * trunc + 2
+    table = [(k, l, scale // r.denominator * r.numerator) for k, l, r in _r_table(trunc)]
+    x = sums.reshape(top, -1)
+    for _ in range(s):  # C on the leading axis, which then moves last
+        y = np.zeros_like(x)
+        for k, l, c in table:
+            y[k] += c * x[l]
+        x = y.T.reshape(top, -1)
+    return float(Fraction(sums.dot(x.ravel()), scale**s * len(points) ** 2))
 
 
 def quadrature_oracle_l2(points: Sequence[DyadicPoint], grid: int | None = None) -> float:

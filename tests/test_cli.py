@@ -263,6 +263,12 @@ def test_rtable(capsys):
     assert all(table[k, l] == r_coeff(k, l) for k in range(4) for l in range(4))
 
 
+def test_rtable_line_budget(capsys):
+    code, out, err = run(capsys, "rtable", "--kmax", "12")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget exceeded: rtable of 4^12 = 16777216 lines exceeds budget 2^22\n"
+
+
 def test_export_matrices(tmp_path, capsys):
     outdir = tmp_path / "mats"
     code, out, _ = run(capsys, "export-matrices", "--s", "2", "--alpha", "2",

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hodisc.discrepancy import (
     DiscrepancyReport,
     _columns,
     _dominance_sums,
+    _r_table,
     quadrature_oracle_l2,
     sum_of_digits,
     walsh_series_l2,
@@ -17,9 +20,11 @@ from hodisc.discrepancy import (
     warnock_l2_sq,
     warnock_scan,
 )
-from hodisc.genmat import sequence_net
+from hodisc.genmat import GeneratingMatrixSet, sequence_net
+from hodisc.gf2 import BitMatrix
 from hodisc.netverify import dual_enumerate
-from hodisc.points import DyadicPoint, net_points
+from hodisc.points import DyadicPoint, digital_shift, net_points
+from hodisc.walsh import r_coeff, wal_vec
 
 
 def random_pointset(rng: random.Random, s: int, n: int, prec: int) -> list[DyadicPoint]:
@@ -290,27 +295,107 @@ def test_series_budget_rejected_with_estimate():
         walsh_series_l2(pts, 8)
 
 
-def test_series_dual_terms_carry_everything():
-    # for a digital net the non-dual Walsh means vanish, so summing over
-    # dual pairs only reproduces the truncated series
-    g = sequence_net(1, 1, 2)
-    pts = net_points(g)
-    trunc = 4
-    full = walsh_series_l2(pts, trunc)
-    dual = dual_enumerate(g, digit_range=trunc)
-    from hodisc.walsh import r_coeff, wal_vec
+def test_series_budget_checked_before_any_work():
+    # the estimate needs only (s, trunc), so a refusal builds no table or transform
+    def expire(signum, frame):
+        raise TimeoutError("no result within 5 s")
 
-    members = set(dual.elements())
+    pts = net_points(sequence_net(2, 1, 2))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            walsh_series_l2(pts, 16)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _scanned_table(trunc):
+    top = 1 << trunc
+    return [(k, l, r_coeff(k, l)) for k in range(top) for l in range(top) if r_coeff(k, l)]
+
+
+def test_r_table_is_the_nonzero_scan():
+    for trunc in range(8):
+        assert _r_table(trunc) == _scanned_table(trunc)
+    for trunc in range(11):
+        assert len(_r_table(trunc)) == 5 * 2**trunc - 2 * trunc - 4
+
+
+def _brute_force_series(points, trunc) -> Fraction:
+    """sum_{k, l != 0} prod_j r(k_j, l_j) W(k) W(l) over components below
+    2^trunc, each W a mean of wal_vec and each row of r from a full scan."""
+    s, n = points[0].s, len(points)
+    row = {k: [] for k in range(1 << trunc)}
+    for k, l, r in _scanned_table(trunc):
+        row[k].append((l, r))
+    vectors = list(itertools.product(range(1 << trunc), repeat=s))[1:]
+    mean = {ks: Fraction(sum(wal_vec(ks, pt) for pt in points), n) for ks in vectors}
+    mean[(0,) * s] = 0
     total = Fraction(0)
-    n = len(pts)
-    for ks in members:
-        wk = Fraction(sum(wal_vec(ks, pt) for pt in pts), n)
-        for ls in members:
-            r = r_coeff(ks[0], ls[0])
-            if r:
-                wl = Fraction(sum(wal_vec(ls, pt) for pt in pts), n)
-                total += r * wk * wl
-    assert float(total) == pytest.approx(full, abs=1e-15)
+    for ks in vectors:
+        for pairs in itertools.product(*(row[k] for k in ks)):
+            ls = tuple(l for l, _ in pairs)
+            total += math.prod(r for _, r in pairs) * mean[ks] * mean[ls]
+    return total
+
+
+@st.composite
+def _series_cases(draw):
+    """(points, trunc): random sets with precision 1-8, sometimes below trunc,
+    or nets, digitally shifted or not; trunc <= 4, and <= 3 at s = 3."""
+    s = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 3 if s == 3 else 4))
+    if draw(st.booleans()):
+        prec = draw(st.integers(1, 8))
+        coord = st.integers(0, (1 << prec) - 1)
+        rows = draw(st.lists(st.tuples(*[coord] * s), min_size=1, max_size=12))
+        return [DyadicPoint(c, prec) for c in rows], trunc
+    pts = net_points(sequence_net(s, draw(st.integers(1, 2)), draw(st.integers(1, 3))))
+    sigma = DyadicPoint(tuple(draw(st.integers(0, 63)) for _ in range(s)), 6)
+    return [digital_shift(pt, sigma) for pt in pts], trunc
+
+
+@settings(max_examples=25, deadline=None)
+@given(_series_cases())
+def test_series_equals_the_brute_force_sum(case):
+    points, trunc = case
+    assert walsh_series_l2(points, trunc) == float(_brute_force_series(points, trunc))
+
+
+def test_series_dual_terms_carry_everything():
+    # over a digital net cut to its first trunc rows, W(k) = [k in D] wal_k(sigma),
+    # D the dual of the cut matrices, so the series is a sum over dual pairs only
+    for s, alpha, m, trunc, shifted in [(1, 1, 2, 4, False), (2, 2, 4, 5, False),
+                                        (3, 1, 4, 4, False), (2, 3, 3, 6, False),
+                                        (2, 2, 4, 5, True)]:
+        g = sequence_net(s, alpha, m)
+        rows = min(trunc, g.depth)
+        cut = GeneratingMatrixSet(s, rows, g.width, tuple(
+            BitMatrix.from_rows(mat.data[:rows], g.width) for mat in g.matrices), alpha, None)
+        sigma = DyadicPoint(tuple(random.Random(s * m).randrange(1 << 10) for _ in range(s)), 10)
+        pts = [digital_shift(pt, sigma) if shifted else pt for pt in net_points(g)]
+        members = list(dual_enumerate(cut, digit_range=trunc).elements())
+        sign = {ks: wal_vec(ks, sigma) if shifted else 1 for ks in members}
+        nonzero = {(k, l): r for k, l, r in _scanned_table(trunc)}
+        total = Fraction(0)
+        for ks in members:
+            for ls in members:
+                r = math.prod(nonzero.get(kl, 0) for kl in zip(ks, ls))
+                if r:
+                    total += r * sign[ks] * sign[ls]
+        assert float(total) == walsh_series_l2(pts, trunc), (s, alpha, m, trunc, shifted)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_series_converges_to_warnock_at_s3(alpha):
+    # at s = 3 the series is Warnock's one check that is not quadrature
+    pts = net_points(sequence_net(3, alpha, 3))
+    target = float(warnock_l2_sq(pts, exact=True))
+    errors = [abs(walsh_series_l2(pts, k, budget=10**7) - target) for k in range(2, 7)]
+    for earlier, later in zip(errors, errors[1:]):
+        assert later < earlier
 
 
 def test_sum_of_digits():
