@@ -8,8 +8,8 @@ violated property (verify), 3 for an exceeded enumeration or point budget.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .discrepancy import warnock_l2, warnock_scan
@@ -85,15 +85,18 @@ def format_bin(num: int, prec: int) -> str:
 _FORMATTERS = {"dec": format_dec, "hexfrac": format_hexfrac, "bin": format_bin}
 _SIGNS = {"+", "-"}
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_DECIMAL = re.compile(r"([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")  # digits, point, exponent
 
 
 def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
     """(numerator, precision) of one coordinate in the given text format.
 
     No formatter writes a `_` digit separator or a sign, so neither is
-    read, though `int` and `Fraction` would take both.  A dec value may
-    still carry a signed exponent (`9.5367431640625e-07`), as float repr
-    writes it.
+    read, though `int` and `Fraction` would take both.  A dec value is
+    ASCII digits with an optional point and an optional signed exponent
+    (`9.5367431640625e-07`, as float repr writes it): its digits D over
+    10^k are dyadic exactly when 5^k divides D, and the precision returned
+    is the least that holds the value.
     """
     text = text.strip()
     if "_" in text:
@@ -112,14 +115,25 @@ def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
         return int(frac, 2) if frac else 0, len(frac)
     if text.startswith(("+", "-")):
         raise ValueError(f"signed coordinate {text!r}")
-    value = Fraction(text)
-    if value < 0 or value >= 1:
+    match = _DECIMAL.fullmatch(text)
+    if not match or not (match[1] or match[2]):
+        raise ValueError(f"bad decimal value {text!r}")
+    frac = match[2] or ""
+    num, k = int(match[1] + frac), len(frac) - int(match[3] or 0)  # num / 10^k
+    if k <= 0:
+        if num:
+            raise ValueError(f"coordinate {text!r} outside [0,1)")
+        return 0, 0
+    ten = 10**k
+    if num >= ten:
         raise ValueError(f"coordinate {text!r} outside [0,1)")
-    den = value.denominator
-    if den & (den - 1):
+    num, rest = divmod(num, ten >> k)  # num / 10^k = (num / 5^k) / 2^k
+    if rest:
         raise ValueError(f"coordinate {text!r} is not dyadic")
-    prec = den.bit_length() - 1
-    return value.numerator, prec
+    if not num:
+        return 0, 0
+    zeros = (num & -num).bit_length() - 1
+    return num >> zeros, k - zeros
 
 
 def read_point_file(path: str, fmt: str) -> list[DyadicPoint]:

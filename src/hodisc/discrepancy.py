@@ -29,6 +29,17 @@ a Fraction in exact mode, otherwise the float that division rounds
 correctly from it (a scan builds both as arrays over all its rows).  A
 float from the sort or the sweep is thus the rounded exact value, and one
 from the row loop the rounded exact sum of its float64 rows.
+
+Two checks do not use Warnock.  The truncated Walsh series works from one
+transform of the point histogram.  The quadrature oracle integrates
+Delta^2 exactly over the cells of the coordinate grid at every s, or
+averages it over a 2^grid-per-axis midpoint mesh with the same sums.  Its
+cells, at most (N + 1)^s, are checked against a budget before any
+contraction.  The default QUADRATURE_BUDGET of 2^25 cells takes 0.4 s at
+s = 2 up to 1.4 s at s = 4.  The int64 work runs in chunks of CHUNK_CELLS
+= 2^20 cells, so memory grows by tens of MB (about 20 MB at s = 2 and 3,
+90 MB at s = 4), not by the 256 MB a dense int64 tensor of 2^25 cells
+would take.
 """
 
 from __future__ import annotations
@@ -48,7 +59,10 @@ from .walsh import r_coeff
 
 EXACT_LIMIT = 1024
 SERIES_BUDGET = 200_000
+QUADRATURE_BUDGET = 1 << 25
+CHUNK_CELLS = 1 << 20
 LIMB_BITS = 31
+MIN_LIMB_BITS = 8
 
 
 def _columns(points: Sequence[DyadicPoint]) -> tuple[list[np.ndarray], int, int]:
@@ -109,16 +123,16 @@ def _prefix_sums(cols: list[np.ndarray], prec: int, exact: bool) -> Iterator[int
         yield s2
 
 
-def _limbs(b: np.ndarray) -> list[np.ndarray]:
-    """Non-negative Python ints as LIMB_BITS-bit int64 limbs, least
+def _limbs(b: np.ndarray, bits: int = LIMB_BITS) -> list[np.ndarray]:
+    """Non-negative Python ints as int64 limbs of bits <= 31 bits, least
     significant first (at least one).  The ints leave the object array two
     limbs at a time."""
-    count = max(-(-int(b.max()).bit_length() // LIMB_BITS), 1)
-    mask = (1 << LIMB_BITS) - 1
+    count = max(-(-int(b.max()).bit_length() // bits), 1)
+    mask = (1 << bits) - 1
     limbs = []
     for k in range(0, count, 2):
-        word = ((b >> LIMB_BITS * k if k else b) & (1 << 2 * LIMB_BITS) - 1).astype(np.int64)
-        limbs += [word & mask, word >> LIMB_BITS]
+        word = ((b >> bits * k if k else b) & (1 << 2 * bits) - 1).astype(np.int64)
+        limbs += [word & mask, word >> bits]
     return limbs[:count]
 
 
@@ -387,51 +401,117 @@ def walsh_series_l2(
     return float(Fraction(sums.dot(x.ravel()), scale**s * len(points) ** 2))
 
 
-def quadrature_oracle_l2(points: Sequence[DyadicPoint], grid: int | None = None) -> float:
-    """L2 discrepancy straight from its definition, independent of Warnock.
+def _cell_sums(
+    index: np.ndarray, shape: list[int], linear: list[np.ndarray], square: list[np.ndarray]
+) -> tuple[int, int]:
+    """(sum A prod_j linear_j, sum A^2 prod_j square_j) over the cells of a
+    grid of the given shape, A the box count: the number of points (the
+    columns of index) whose cell is at most the cell's on every axis.
 
-    s = 1: exact piecewise integration of the local discrepancy after
-    sorting (no grid).  s = 2: midpoint rule for |Delta|^2 on the
-    2^grid x 2^grid mesh, with O(2^-grid) bias.  Larger s is rejected.
+    Axis 0 contracts first, in chunks of rows of about CHUNK_CELLS cells.
+    Each chunk is the histogram of its points, summed along the other axes
+    and then down its rows from the last row of the chunk before.  Its rows
+    meet the weights of axis 0 as int64 products with their limbs, each limb
+    as wide as keeps the sum over the whole axis below 2^63 (as object
+    products when that is under MIN_LIMB_BITS bits).  The other axes then
+    contract on object arrays of Python ints.
+    """
+    count = index.shape[1]
+    rest = math.prod(shape[1:])
+    flat = np.zeros(count, dtype=np.int64)
+    for cells, k in zip(index[1:], shape[1:]):
+        flat = flat * k + cells
+    order = np.argsort(index[0], kind="stable")
+    row, flat = index[0][order], flat[order]
+    terms = []
+    for weights, top in ((linear, count), (square, count * count)):
+        bits = min(LIMB_BITS, 62 - (shape[0] * top).bit_length())
+        parts = _limbs(weights[0], bits) if bits >= MIN_LIMB_BITS else [weights[0]]
+        terms.append((weights, bits, parts, [0] * len(parts)))
+    carry = np.zeros(rest, dtype=np.int64)
+    step = max(1, CHUNK_CELLS // rest)
+    for k0 in range(0, shape[0], step):
+        k1 = min(k0 + step, shape[0])
+        lo, hi = np.searchsorted(row, (k0, k1))
+        slab = np.bincount((row[lo:hi] - k0) * rest + flat[lo:hi], minlength=(k1 - k0) * rest)
+        slab = slab.reshape(k1 - k0, *shape[1:])
+        for axis in range(1, len(shape)):
+            np.cumsum(slab, axis=axis, out=slab)
+        slab = slab.reshape(k1 - k0, rest)
+        np.cumsum(slab, axis=0, out=slab)
+        slab += carry
+        carry = slab[-1].copy()
+        for k, (_, _, parts, acc) in enumerate(terms):
+            if k:
+                slab *= slab  # A, then A^2 in place
+            for i, part in enumerate(parts):
+                acc[i] = acc[i] + np.einsum("k,kr->r", part[k0:k1], slab)
+    sums = []
+    for weights, bits, _, acc in terms:
+        x = sum(a.astype(object) << bits * i for i, a in enumerate(acc))
+        for w in weights[1:]:
+            x = w.dot(x.reshape(len(w), -1))
+        sums.append(int(x[0]))
+    return sums[0], sums[1]
+
+
+def _quadrature_sq(
+    points: Sequence[DyadicPoint], grid: int | None = None, budget: int = QUADRATURE_BUDGET
+) -> Fraction:
+    """The integral of Delta^2 over [0,1)^s, or with a grid its mean over
+    the 2^grid midpoints per axis, as one exact Fraction.
+
+    Each axis is cut at 0, at its end E and at the distinct positions of the
+    points: their numerators with E = 2^p for the integral, and for the mesh
+    with E = 2^grid the number of midpoints (i + 1/2)/E at or below each
+    coordinate, so that a point counts for the midpoints from its position
+    on.  The box count A is constant on the cells of the product grid.  On
+    the block [v, v') of an axis both the integral and the midpoint mean
+    of 1 and of t are (v' - v)/E and (v'^2 - v^2)/(2E^2); the mean of t^2
+    over the axis is 1/3 for the integral and (4E^2 - 1)/(12E^2) for the
+    mesh.  So the value is X/(N^2 E^s) - 2Y/(N (2E^2)^s) + that mean to the
+    s, X and Y the cell sums of A^2 and A (docs/oracle_formulas.md,
+    section 7).  Rejected with its cell count, before any contraction, when
+    that exceeds the budget.
     """
     cols, prec, s = _columns(points)
-    if s == 1:
-        return _quadrature_1d(cols[0], prec)
-    if s == 2:
-        if grid is None:
-            raise ValueError("s = 2 needs a grid exponent")
-        return _quadrature_2d(cols, prec, int(grid))
-    raise ValueError("quadrature oracle supports s <= 2 only")
-
-
-def _quadrature_1d(col: np.ndarray, prec: int) -> float:
-    n = len(col)
-    values = [Fraction(c, 1 << prec) for c in sorted(col.tolist())]
-    bounds = [Fraction(0)] + values + [Fraction(1)]
-    total = Fraction(0)
-    for i in range(n + 1):
-        a, b = bounds[i], bounds[i + 1]
-        if a == b:
-            continue
-        c = Fraction(i, n)
-        total += ((c - a) ** 3 - (c - b) ** 3) / 3
-    return math.sqrt(total)
-
-
-def _quadrature_2d(cols: list[np.ndarray], prec: int, grid: int) -> float:
-    if grid < 1:
+    if grid is None:
+        end, pos = 1 << prec, cols
+    elif grid < 1:
         raise ValueError("grid exponent must be >= 1")
-    n = len(cols[0])
-    cells = 1 << grid
-    fine = grid + 1
-    bins = np.zeros((2, n), dtype=np.int64)
-    for j in range(2):
-        q = cols[j] >> (prec - fine) if prec >= fine else cols[j] << (fine - prec)
-        bins[j] = ((q + 1) // 2).astype(np.int64)
-    hist = np.zeros((cells, cells), dtype=np.int64)
-    inside = (bins[0] < cells) & (bins[1] < cells)
-    np.add.at(hist, (bins[0][inside], bins[1][inside]), 1)
-    counts = hist.cumsum(axis=0).cumsum(axis=1)
-    mids = (2.0 * np.arange(cells) + 1.0) / (2.0 * cells)
-    delta = counts / n - np.outer(mids, mids)
-    return math.sqrt(float(np.mean(delta * delta)))
+    else:
+        end = 1 << grid
+        pos = [np.minimum(((c << grid + 1) + (1 << prec)) >> prec + 1, end) for c in cols]
+    axes = []
+    for q in pos:
+        if end.bit_length() < 64:  # sorted as int64
+            q = q.astype(np.int64)
+        v, inverse = np.unique(np.append(q, np.array([0, end], q.dtype)), return_inverse=True)
+        axes.append((v.astype(object), inverse[:-2]))
+    axes.sort(key=lambda axis: len(axis[0]), reverse=True)  # the longest axis goes in chunks
+    shape = [len(v) - 1 for v, _ in axes]
+    cells = math.prod(shape)
+    if cells > budget:
+        raise ValueError(f"quadrature over {cells} cells exceeds budget {budget}")
+    index = np.array([i for _, i in axes], dtype=np.int64)
+    inside = (index < np.array(shape)[:, None]).all(axis=0)  # a mesh end counts nowhere
+    y, x = _cell_sums(index[:, inside], shape,
+                      [np.diff(v * v) for v, _ in axes], [np.diff(v) for v, _ in axes])
+    n = len(points)
+    square_mean = 4 * end * end - (grid is not None)
+    num = x * 12**s * end**s - 2 * n * y * 6**s + n * n * square_mean**s
+    return Fraction(num, n * n * 12**s * end ** (2 * s))
+
+
+def quadrature_oracle_l2(
+    points: Sequence[DyadicPoint], grid: int | None = None, budget: int = QUADRATURE_BUDGET
+) -> float:
+    """L2 discrepancy straight from its definition, independent of Warnock.
+
+    Without a grid, the exact integral of |Delta|^2 over the cells of the
+    coordinate grid, at every s; with one, the midpoint rule on the
+    2^grid-per-axis mesh, with O(2^-grid) bias, summed exactly.  Either is
+    the square root of the correctly rounded exact value.  Rejected when
+    the cells, at most (N + 1)^s, exceed the budget (see _quadrature_sq).
+    """
+    return math.sqrt(_quadrature_sq(points, grid, budget))

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from hodisc.discrepancy import (
+    _quadrature_sq,
     quadrature_oracle_l2,
     sum_of_digits,
     walsh_series_l2,
@@ -128,10 +129,11 @@ def test_criterion_5_discrepancy_exactness():
     grid = 11
     net = net_points(sequence_net(2, 1, 4))
     grid_ok = abs(warnock_l2(net) - quadrature_oracle_l2(net, grid=grid)) <= 5 * 2.0**-grid
+    cells_ok = _quadrature_sq(net) == warnock_l2_sq(net, exact=True)
     origin_ok = abs(warnock_l2([DyadicPoint((0,), 1)]) - 1 / math.sqrt(3)) <= 1e-14
     half_ok = abs(warnock_l2([DyadicPoint((1,), 1)]) - 1 / math.sqrt(12)) <= 1e-14
-    _gate(5, "Warnock matches 1-d/2-d oracles and closed-form single points",
-          random_ok and grid_ok and origin_ok and half_ok, start, 60.0)
+    _gate(5, "Warnock matches 1-d, 2-d midpoint and exact 2-d oracles and closed-form single points",
+          random_ok and grid_ok and cells_ok and origin_ok and half_ok, start, 60.0)
 
 
 def test_criterion_6_series_consistency():

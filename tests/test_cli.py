@@ -326,6 +326,44 @@ def test_format_helpers_exact():
     assert parse_coordinate("9.5367431640625e-07", "dec") == (1, 20)
 
 
+def _fraction_route(text):
+    """A dec coordinate read through Fraction, with the rejections
+    parse_coordinate makes before it."""
+    text = text.strip()
+    if "_" in text or text.startswith(("+", "-")):
+        raise ValueError(text)
+    value = Fraction(text)
+    den = value.denominator
+    if value < 0 or value >= 1 or den & (den - 1):
+        raise ValueError(text)
+    return value.numerator, den.bit_length() - 1
+
+
+def _dec_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return "rejected"
+
+
+_FLOAT_REPRS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@given(st.one_of(
+    st.tuples(st.sampled_from(sorted(FORMATTERS)), st.integers(0, 90)).flatmap(
+        lambda fp: st.integers(0, (1 << fp[1]) - 1).map(lambda n: FORMATTERS[fp[0]](n, fp[1]))),
+    _FLOAT_REPRS,
+    _FLOAT_REPRS.map(lambda r: r.upper()),
+    st.integers(0, (1 << 24) - 1).map(lambda j: repr(j * 2.0**-24)),
+    st.from_regex(r"\A[0-9]{0,3}\.?[0-9]{0,4}([eE][+-]?[0-9]{1,2})?\Z"),
+))
+def test_dec_parser_equals_the_fraction_route(text):
+    # on every formatter's output (hexfrac and bin text are rejected as
+    # decimals by both), float reprs with exponents and decimal shapes
+    assert _dec_outcome(lambda t: parse_coordinate(t, "dec"), text) == _dec_outcome(
+        _fraction_route, text)
+
+
 @st.composite
 def _point_rows(draw):
     """Rows of (numerator, precision) pairs: s coordinates at one precision."""

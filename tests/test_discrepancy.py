@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hodisc.discrepancy
 from hodisc.discrepancy import (
     DiscrepancyReport,
     _columns,
     _dominance_sums,
+    _quadrature_sq,
     _r_table,
     quadrature_oracle_l2,
     sum_of_digits,
@@ -23,7 +25,7 @@ from hodisc.discrepancy import (
 from hodisc.genmat import GeneratingMatrixSet, sequence_net
 from hodisc.gf2 import BitMatrix
 from hodisc.netverify import dual_enumerate
-from hodisc.points import DyadicPoint, digital_shift, net_points
+from hodisc.points import DyadicPoint, corollary_pointset, digital_shift, net_points
 from hodisc.walsh import r_coeff, wal_vec
 
 
@@ -390,7 +392,8 @@ def test_series_dual_terms_carry_everything():
 
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_series_converges_to_warnock_at_s3(alpha):
-    # at s = 3 the series is Warnock's one check that is not quadrature
+    # the series only converges to Warnock; the cell-contraction oracle gives
+    # the same value exactly at s = 3 (test_quadrature_equals_exact_warnock)
     pts = net_points(sequence_net(3, alpha, 3))
     target = float(warnock_l2_sq(pts, exact=True))
     errors = [abs(walsh_series_l2(pts, k, budget=10**7) - target) for k in range(2, 7)]
@@ -419,6 +422,81 @@ def test_quadrature_2d_single_origin_point():
     assert 0 < value < 1
 
 
-def test_quadrature_rejects_3d():
-    with pytest.raises(ValueError):
-        quadrature_oracle_l2([DyadicPoint((0, 0, 0), 1)], grid=4)
+@st.composite
+def _oracle_sets(draw):
+    """Point sets at s = 1..3: random sets of mixed precision 0..70 (small
+    precisions make ties common), nets plain or digitally shifted by 64
+    bits, or corollary sets."""
+    s = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "net", "shifted", "corollary"]))
+    if kind == "random":
+        point = st.integers(0, 70).flatmap(lambda p: st.builds(
+            DyadicPoint, st.tuples(*[st.integers(0, (1 << p) - 1)] * s), st.just(p)))
+        return draw(st.lists(point, min_size=1, max_size=30))
+    if kind == "corollary":
+        return corollary_pointset(s, draw(st.integers(2, 40)))
+    pts = net_points(sequence_net(s, draw(st.integers(1, 3)), draw(st.integers(1, 5))))
+    if kind == "shifted":
+        sigma = DyadicPoint(tuple(draw(st.integers(0, (1 << 64) - 1)) for _ in range(s)), 64)
+        pts = [digital_shift(pt, sigma) for pt in pts]
+    return pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_sets())
+def test_quadrature_equals_exact_warnock(pts):
+    assert _quadrature_sq(pts) == warnock_l2_sq(pts, exact=True)
+
+
+def _midpoint_pair_sum(points, grid: int) -> Fraction:
+    """The mean of Delta^2 over the 2^grid-per-axis midpoint mesh,
+    Warnock-style: with r the number of midpoints (i + 1/2)/G above a
+    coordinate, a pair shares min(r, r') of them per axis, a point's
+    midpoints sum to r(2G - r)/(2G), and the squares of all G sum to
+    G(4G^2 - 1)/(12 G^2)."""
+    G, n, s = 1 << grid, len(points), len(points[0].coords)
+    r = [[G - min(G, math.floor(Fraction(c, 1 << pt.precision) * G + Fraction(1, 2)))
+          for c in pt.coords] for pt in points]
+    pairs = sum(math.prod(Fraction(min(a, b), G) for a, b in zip(u, v)) for u in r for v in r)
+    cross = sum(math.prod(Fraction(a * (2 * G - a), 2 * G * G) for a in u) for u in r)
+    return pairs / n**2 - 2 * cross / n + Fraction(4 * G * G - 1, 12 * G * G) ** s
+
+
+@settings(max_examples=40, deadline=None)
+@given(_oracle_sets(), st.integers(1, 6))
+def test_quadrature_midpoint_equals_the_pair_sum(pts, grid):
+    exact = _midpoint_pair_sum(pts, grid)
+    assert _quadrature_sq(pts, grid) == exact
+    assert quadrature_oracle_l2(pts, grid=grid) == math.sqrt(exact)
+
+
+def test_quadrature_narrow_limbs_fall_back_to_objects(monkeypatch):
+    # limbs narrower than MIN_LIMB_BITS (large N at s = 1) contract as objects
+    rng = random.Random(12)
+    sets = [random_pointset(rng, s, 40, 70) for s in (1, 2, 3)]
+    values = [_quadrature_sq(pts) for pts in sets]
+    monkeypatch.setattr(hodisc.discrepancy, "MIN_LIMB_BITS", 63)
+    assert [_quadrature_sq(pts) for pts in sets] == values
+    assert values == [warnock_l2_sq(pts, exact=True) for pts in sets]
+
+
+def test_quadrature_exact_at_scale():
+    # 4097^2 and 257^3 cells, each well under a second
+    for s, m in ((2, 12), (3, 8)):
+        pts = net_points(sequence_net(s, 2, m))
+        assert _quadrature_sq(pts) == warnock_l2_sq(pts, exact=True)
+
+
+def test_quadrature_budget_refused_before_any_work(monkeypatch):
+    def contract(*args):
+        raise AssertionError("contraction started")
+
+    # 16 distinct coordinates per axis, 0 among them: 16 cells per axis
+    pts = net_points(sequence_net(2, 1, 4))
+    monkeypatch.setattr(hodisc.discrepancy, "_cell_sums", contract)
+    with pytest.raises(ValueError, match="quadrature over 256 cells exceeds budget 255"):
+        quadrature_oracle_l2(pts, budget=255)
+    with pytest.raises(ValueError, match="quadrature over 512 cells exceeds budget 511"):
+        quadrature_oracle_l2(net_points(sequence_net(3, 1, 3)), grid=3, budget=511)
+    with pytest.raises(AssertionError, match="contraction started"):
+        quadrature_oracle_l2(pts, budget=256)
