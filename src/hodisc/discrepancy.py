@@ -34,12 +34,9 @@ Two checks do not use Warnock.  The truncated Walsh series works from one
 transform of the point histogram.  The quadrature oracle integrates
 Delta^2 exactly over the cells of the coordinate grid at every s, or
 averages it over a 2^grid-per-axis midpoint mesh with the same sums.  Its
-cells, at most (N + 1)^s, are checked against a budget before any
-contraction.  The default QUADRATURE_BUDGET of 2^25 cells takes 0.4 s at
-s = 2 up to 1.4 s at s = 4.  The int64 work runs in chunks of CHUNK_CELLS
-= 2^20 cells, so memory grows by tens of MB (about 20 MB at s = 2 and 3,
-90 MB at s = 4), not by the 256 MB a dense int64 tensor of 2^25 cells
-would take.
+cells, at most (N + 1)^s, are checked against QUADRATURE_BUDGET = 2^25
+before any contraction, and its int64 work runs in chunks of CHUNK_CELLS
+= 2^20 cells rather than over one dense tensor of all the cells.
 """
 
 from __future__ import annotations
@@ -445,7 +442,9 @@ def _cell_sums(
             if k:
                 slab *= slab  # A, then A^2 in place
             for i, part in enumerate(parts):
-                acc[i] = acc[i] + np.einsum("k,kr->r", part[k0:k1], slab)
+                w = part[k0:k1]  # einsum takes object arrays only from numpy 1.25
+                term = w.dot(slab) if w.dtype == object else np.einsum("k,kr->r", w, slab)
+                acc[i] = acc[i] + term
     sums = []
     for weights, bits, _, acc in terms:
         x = sum(a.astype(object) << bits * i for i, a in enumerate(acc))
@@ -455,9 +454,7 @@ def _cell_sums(
     return sums[0], sums[1]
 
 
-def _quadrature_sq(
-    points: Sequence[DyadicPoint], grid: int | None = None, budget: int = QUADRATURE_BUDGET
-) -> Fraction:
+def _quadrature_sq(points: Sequence[DyadicPoint], grid: int | None = None) -> Fraction:
     """The integral of Delta^2 over [0,1)^s, or with a grid its mean over
     the 2^grid midpoints per axis, as one exact Fraction.
 
@@ -472,7 +469,7 @@ def _quadrature_sq(
     mesh.  So the value is X/(N^2 E^s) - 2Y/(N (2E^2)^s) + that mean to the
     s, X and Y the cell sums of A^2 and A (docs/oracle_formulas.md,
     section 7).  Rejected with its cell count, before any contraction, when
-    that exceeds the budget.
+    that exceeds QUADRATURE_BUDGET.
     """
     cols, prec, s = _columns(points)
     if grid is None:
@@ -491,8 +488,8 @@ def _quadrature_sq(
     axes.sort(key=lambda axis: len(axis[0]), reverse=True)  # the longest axis goes in chunks
     shape = [len(v) - 1 for v, _ in axes]
     cells = math.prod(shape)
-    if cells > budget:
-        raise ValueError(f"quadrature over {cells} cells exceeds budget {budget}")
+    if cells > QUADRATURE_BUDGET:
+        raise ValueError(f"quadrature over {cells} cells exceeds budget {QUADRATURE_BUDGET}")
     index = np.array([i for _, i in axes], dtype=np.int64)
     inside = (index < np.array(shape)[:, None]).all(axis=0)  # a mesh end counts nowhere
     y, x = _cell_sums(index[:, inside], shape,
@@ -503,15 +500,14 @@ def _quadrature_sq(
     return Fraction(num, n * n * 12**s * end ** (2 * s))
 
 
-def quadrature_oracle_l2(
-    points: Sequence[DyadicPoint], grid: int | None = None, budget: int = QUADRATURE_BUDGET
-) -> float:
+def quadrature_oracle_l2(points: Sequence[DyadicPoint], grid: int | None = None) -> float:
     """L2 discrepancy straight from its definition, independent of Warnock.
 
     Without a grid, the exact integral of |Delta|^2 over the cells of the
     coordinate grid, at every s; with one, the midpoint rule on the
     2^grid-per-axis mesh, with O(2^-grid) bias, summed exactly.  Either is
     the square root of the correctly rounded exact value.  Rejected when
-    the cells, at most (N + 1)^s, exceed the budget (see _quadrature_sq).
+    the cells, at most (N + 1)^s, exceed QUADRATURE_BUDGET (see
+    _quadrature_sq).
     """
-    return math.sqrt(_quadrature_sq(points, grid, budget))
+    return math.sqrt(_quadrature_sq(points, grid))

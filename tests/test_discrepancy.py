@@ -475,6 +475,15 @@ def test_quadrature_narrow_limbs_fall_back_to_objects(monkeypatch):
     rng = random.Random(12)
     sets = [random_pointset(rng, s, 40, 70) for s in (1, 2, 3)]
     values = [_quadrature_sq(pts) for pts in sets]
+    einsum = np.einsum
+
+    def einsum_before_1_25(spec, *operands):
+        # numpy < 1.25 refuses object operands in einsum
+        if any(op.dtype == object for op in operands):
+            raise TypeError("object arrays not supported")
+        return einsum(spec, *operands)
+
+    monkeypatch.setattr(np, "einsum", einsum_before_1_25)
     monkeypatch.setattr(hodisc.discrepancy, "MIN_LIMB_BITS", 63)
     assert [_quadrature_sq(pts) for pts in sets] == values
     assert values == [warnock_l2_sq(pts, exact=True) for pts in sets]
@@ -494,9 +503,12 @@ def test_quadrature_budget_refused_before_any_work(monkeypatch):
     # 16 distinct coordinates per axis, 0 among them: 16 cells per axis
     pts = net_points(sequence_net(2, 1, 4))
     monkeypatch.setattr(hodisc.discrepancy, "_cell_sums", contract)
+    monkeypatch.setattr(hodisc.discrepancy, "QUADRATURE_BUDGET", 255)
     with pytest.raises(ValueError, match="quadrature over 256 cells exceeds budget 255"):
-        quadrature_oracle_l2(pts, budget=255)
+        quadrature_oracle_l2(pts)
+    monkeypatch.setattr(hodisc.discrepancy, "QUADRATURE_BUDGET", 511)
     with pytest.raises(ValueError, match="quadrature over 512 cells exceeds budget 511"):
-        quadrature_oracle_l2(net_points(sequence_net(3, 1, 3)), grid=3, budget=511)
+        quadrature_oracle_l2(net_points(sequence_net(3, 1, 3)), grid=3)
+    monkeypatch.setattr(hodisc.discrepancy, "QUADRATURE_BUDGET", 256)
     with pytest.raises(AssertionError, match="contraction started"):
-        quadrature_oracle_l2(pts, budget=256)
+        quadrature_oracle_l2(pts)
