@@ -40,7 +40,6 @@ from .netverify import (
     verify_order_alpha,
 )
 from .points import (
-    Dyadic,
     DyadicPoint,
     corollary_exact_coords,
     corollary_pointset,
@@ -49,13 +48,12 @@ from .points import (
     net_points,
     nth_point,
 )
-from .walsh import WalshIndex, mu, mu_alpha, mu_vec, r_coeff, r_coeff_oracle, wal, wal_vec
+from .walsh import WalshIndex, mu, mu_alpha, mu_vec, r_coeff, r_coeff_oracle, wal_vec
 
 __all__ = [
     "BitMatrix",
     "DiscrepancyReport",
     "DualNetBasis",
-    "Dyadic",
     "DyadicPoint",
     "GeneratingMatrixSet",
     "Gf2Poly",
@@ -97,7 +95,6 @@ __all__ = [
     "t_reduced",
     "truncate",
     "verify_order_alpha",
-    "wal",
     "wal_vec",
     "walsh_series_l2",
     "warnock_l2",

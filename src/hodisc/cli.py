@@ -8,13 +8,18 @@ violated property (verify), 3 for an exceeded enumeration or point budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
-from typing import Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 from .discrepancy import warnock_l2, warnock_scan
 from .genmat import GeneratingMatrixSet, sequence_net, write_matrix_files
 from .netverify import (
+    DEFAULT_DUAL_EXPONENT,
+    DEFAULT_PATTERN_BUDGET,
+    DualNetBasis,
     VerificationBudgetError,
     character_sum,
     dual_enumerate,
@@ -28,7 +33,7 @@ from .points import (
     corollary_pointset,
     net_points,
 )
-from .walsh import mu_vec, r_coeff
+from .walsh import _r_table, mu_vec
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
@@ -36,7 +41,6 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 
 DEFAULT_SEQUENCE_ALPHA = 5  # scan/gen sequence mode
-COROLLARY_ALPHA = 3  # fixed by the finite-N construction
 DEFAULT_POINT_BUDGET_EXPONENT = 22  # at most 2^22 points (gen, disc, scan) or lines (rtable)
 
 
@@ -152,13 +156,13 @@ def read_point_file(path: str, fmt: str) -> list[DyadicPoint]:
     return points
 
 
-def _emit(lines: Sequence[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
+def _emit(text: Iterable[str], out_path: str | None) -> None:
+    """Write the pieces of text, each one or more whole lines, as they come."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def _parse_shift(text: str, s: int) -> DyadicPoint:
@@ -218,7 +222,7 @@ def _cmd_gen(args) -> int:
     if args.format == "dec":
         fmt = _dec_formatter(prec)
     lines = [" ".join(fmt(c, prec) for c in row) for row in zip(*(c.tolist() for c in cols))]
-    _emit(lines, args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -228,7 +232,7 @@ def _cmd_disc(args) -> int:
     else:
         points = _generate(args)
     value = warnock_l2(points, exact=args.exact)
-    _emit([repr(value)], args.out)
+    _emit([f"{value!r}\n"], args.out)
     return EXIT_OK
 
 
@@ -239,7 +243,7 @@ def _cmd_scan(args) -> int:
     g = sequence_net(args.s, alpha, width)
     points = net_points(g, count=args.nmax)
     report = warnock_scan(points, args.nmax, exact=args.exact)
-    _emit(report.to_csv().splitlines(), args.out)
+    _emit([report.to_csv()], args.out)
     return EXIT_OK
 
 
@@ -269,6 +273,16 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATED
 
 
+def _dual_lines(dual: DualNetBasis, pts: list[DyadicPoint] | None) -> Iterator[str]:
+    yield (f"# s={dual.s} m={dual.m} digit_range={dual.digit_range} "
+           f"rank={dual.rank} dual_size={dual.size()}\n")
+    for ks in dual.elements():
+        line = " ".join(str(k) for k in ks) + f"  mu={mu_vec(ks)}"
+        if pts is not None:
+            line += f"  char_sum={character_sum(pts, ks)}"
+        yield line + "\n"
+
+
 def _cmd_dual(args) -> int:
     if args.check:
         _check_points(f"2^{args.m}", args.m, args.budget_exponent)
@@ -278,18 +292,26 @@ def _cmd_dual(args) -> int:
     except VerificationBudgetError as exc:
         print(f"unverified: {exc}")
         return EXIT_BUDGET
-    lines = [
-        f"# s={dual.s} m={dual.m} digit_range={dual.digit_range} "
-        f"rank={dual.rank} dual_size={dual.size()}"
-    ]
-    pts = net_points(g) if args.check else None
-    for ks in dual.elements():
-        line = " ".join(str(k) for k in ks) + f"  mu={mu_vec(ks)}"
-        if pts is not None:
-            line += f"  char_sum={character_sum(pts, ks)}"
-        lines.append(line)
-    _emit(lines, args.out)
+    terms = dual.size() << args.m  # --check: one Walsh character per element and point
+    if args.check and terms > 1 << args.budget_exponent:
+        sys.stderr.write(f"budget exceeded: character sums of {dual.size()} dual elements "
+                         f"over 2^{args.m} points = {terms} terms exceed budget "
+                         f"2^{args.budget_exponent}\n")
+        return EXIT_BUDGET
+    _emit(_dual_lines(dual, net_points(g) if args.check else None), args.out)
     return EXIT_OK
+
+
+def _rtable_rows(kmax: int, zeros: list[str]) -> Iterator[str]:
+    """The CSV header, then the 2^kmax lines of each k as one piece: k and
+    the tail ",l,0,1" from zeros, or ",l,num,den" where _r_table lists a
+    nonzero r(k, l).  r(k, k) is never 0, so every k has a group."""
+    yield "k,l,numerator,denominator\n"
+    for k, entries in groupby(_r_table(kmax), key=lambda e: e[0]):
+        tails = zeros.copy()
+        for _, l, r in entries:
+            tails[l] = f",{l},{r.numerator},{r.denominator}\n"
+        yield str(k) + str(k).join(tails)
 
 
 def _cmd_rtable(args) -> int:
@@ -297,24 +319,21 @@ def _cmd_rtable(args) -> int:
         sys.stderr.write(f"budget exceeded: rtable of 4^{args.kmax} = {4**args.kmax} lines "
                          f"exceeds budget 2^{DEFAULT_POINT_BUDGET_EXPONENT}\n")
         return EXIT_BUDGET
-    lines = ["k,l,numerator,denominator"]
-    top = 1 << args.kmax
-    for k in range(top):
-        for l in range(top):
-            r = r_coeff(k, l)
-            lines.append(f"{k},{l},{r.numerator},{r.denominator}")
-    _emit(lines, args.out)
+    zeros = [f",{l},0,1\n" for l in range(1 << args.kmax)]
+    _emit(_rtable_rows(args.kmax, zeros), args.out)
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
     g = sequence_net(args.s, args.alpha, args.m)
     paths = write_matrix_files(g, args.outdir)
-    _emit(paths, None)
+    _emit((f"{p}\n" for p in paths), None)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every main call."""
     parser = _Parser(prog="hodisc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,15 +377,16 @@ def build_parser() -> _Parser:
     verify.add_argument("--alpha", type=int, required=True)
     verify.add_argument("--m", type=int, required=True)
     verify.add_argument("--t", type=int, default=None)
-    verify.add_argument("--budget", type=int, default=2_000_000)
+    verify.add_argument("--budget", type=int, default=DEFAULT_PATTERN_BUDGET)
     verify.set_defaults(func=_cmd_verify)
 
     dual = sub.add_parser("dual", help="enumerate the dual net")
     dual.add_argument("--s", type=int, required=True)
     dual.add_argument("--alpha", type=int, required=True)
     dual.add_argument("--m", type=int, required=True)
-    dual.add_argument("--budget-exponent", type=int, default=24,
-                      help="exit 3 beyond 2^E dual elements or, with --check, 2^E points")
+    dual.add_argument("--budget-exponent", type=int, default=DEFAULT_DUAL_EXPONENT,
+                      help="exit 3 beyond 2^E dual elements or, with --check, 2^E points "
+                           "or dual elements times points")
     dual.add_argument("--check", action="store_true", help="append character sums")
     dual.add_argument("--out", default=None)
     dual.set_defaults(func=_cmd_dual)
@@ -387,8 +407,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (VerificationBudgetError, PointBudgetError) as exc:

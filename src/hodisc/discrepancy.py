@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .points import DyadicPoint
-from .walsh import r_coeff
+from .walsh import _r_table
 
 EXACT_LIMIT = 1024
 SERIES_BUDGET = 200_000
@@ -339,22 +339,6 @@ def warnock_scan(
     proinov = roth / np.sqrt(np.array(digits, dtype=float))
     rows = map(ScanRow, counts, l2.tolist(), digits, roth.tolist(), proinov.tolist())
     return DiscrepancyReport(s=s, rows=list(rows))
-
-
-def _r_table(trunc: int) -> list[tuple[int, int, Fraction]]:
-    """Nonzero (k, l, r(k, l)) with k, l < 2^trunc, sorted.  By r_coeff's
-    cases l agrees with k below the top set bits (l = k included), is k
-    without its top two bits or is k plus two higher bits, and these never
-    coincide: 5 * 2^trunc - 2 trunc - 4 entries."""
-    out = []
-    for k in range(1 << trunc):
-        rest = k ^ (1 << k.bit_length() >> 1)
-        higher = [1 << b for b in range(k.bit_length(), trunc)]
-        ls = [rest | 1 << b for b in range(rest.bit_length(), trunc)]
-        ls += [rest ^ (1 << rest.bit_length() >> 1)]
-        ls += [k | h | g for i, h in enumerate(higher) for g in higher[:i]]
-        out += [(k, l, r_coeff(k, l)) for l in sorted(ls)]
-    return out
 
 
 def walsh_series_l2(

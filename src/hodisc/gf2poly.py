@@ -32,7 +32,6 @@ class Gf2Poly:
 
 
 X = Gf2Poly(0b10)
-ONE = Gf2Poly(0b1)
 
 
 def poly_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
@@ -191,32 +190,3 @@ def poly_to_str(p: Gf2Poly) -> str:
             else:
                 terms.append(f"x^{d}")
     return "+".join(terms)
-
-
-def poly_to_hex(p: Gf2Poly) -> str:
-    return hex(p.coeffs)
-
-
-def poly_from_str(text: str) -> Gf2Poly:
-    """Parse either the exponent-list form ("x^3+x+1") or a hex bitmask ("0xb")."""
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise ValueError("empty polynomial text")
-    if text.lower().startswith("0x"):
-        return Gf2Poly(int(text, 16))
-    if text == "0":
-        return Gf2Poly(0)
-    mask = 0
-    for term in text.split("+"):
-        if term == "1":
-            d = 0
-        elif term == "x":
-            d = 1
-        elif term.startswith("x^"):
-            d = int(term[2:])
-        else:
-            raise ValueError(f"bad polynomial term {term!r}")
-        if (mask >> d) & 1:
-            raise ValueError(f"repeated exponent {d}")
-        mask |= 1 << d
-    return Gf2Poly(mask)

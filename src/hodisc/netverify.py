@@ -22,7 +22,7 @@ import numpy as np
 
 from .genmat import GeneratingMatrixSet
 from .gf2 import BitMatrix, kernel_basis, span, stack_transposed, xor_rows
-from .points import Dyadic, DyadicPoint
+from .points import DyadicPoint
 from .walsh import WalshIndex, mu_alpha, wal_vec
 
 DEFAULT_PATTERN_BUDGET = 2_000_000
@@ -167,17 +167,14 @@ def smallest_certified_t(
     g: GeneratingMatrixSet,
     alpha: int,
     budget: int = DEFAULT_PATTERN_BUDGET,
-    start: int | None = None,
 ) -> int:
     """Smallest t the verifier certifies, walking down from a passing bound.
 
-    Starts at the formula bound (or ``start``), moves up while violated,
-    then down while certified.  Budget overruns propagate.
+    Starts at the formula bound, moves up while violated, then down while
+    certified.  Budget overruns propagate.
     """
-    m = g.width
-    hi = alpha * m
-    t = start if start is not None else (g.t_bound if g.t_bound is not None else hi)
-    t = min(t, hi)
+    hi = alpha * g.width
+    t = min(g.t_bound if g.t_bound is not None else hi, hi)
     while t <= hi and not verify_order_alpha(g, alpha, t, budget=budget):
         t += 1
     if t > hi:
@@ -243,9 +240,11 @@ class JAlphaBox:
     def constrained_digits(self) -> int:
         return sum(1 for ai in self.a if ai >= 1)
 
-    def contains(self, x: Dyadic) -> bool:
+    def contains(self, num: int, prec: int) -> bool:
+        """Whether num * 2^-prec has the pinned digits; digit a is
+        (num << a >> prec) & 1, which is 0 beyond the precision."""
         return all(
-            x.digit(ai) == ki for ai, ki in zip(self.a, self.kappa) if ai >= 1
+            (num << ai >> prec) & 1 == ki for ai, ki in zip(self.a, self.kappa) if ai >= 1
         )
 
 
@@ -264,7 +263,7 @@ def j_alpha_count(
     volume = Fraction(1, 1 << sum(b.constrained_digits() for b in boxes))
     count = 0
     for pt in points:
-        if all(b.contains(pt.coord(j)) for j, b in enumerate(boxes)):
+        if all(b.contains(pt.coords[j], pt.precision) for j, b in enumerate(boxes)):
             count += 1
     return count, volume
 

@@ -21,34 +21,6 @@ COROLLARY_PRECISION = 128
 
 
 @dataclass(frozen=True)
-class Dyadic:
-    """Scalar dyadic rational num * 2^-prec in [0, 1)."""
-
-    num: int
-    prec: int
-
-    def __post_init__(self) -> None:
-        if self.prec < 0:
-            raise ValueError("negative precision")
-        if not 0 <= self.num < (1 << self.prec):
-            raise ValueError("numerator out of [0, 2^prec)")
-
-    def digit(self, i: int) -> int:
-        """Binary digit i (1-based after the point); zero beyond precision."""
-        if i < 1:
-            raise IndexError(i)
-        if i > self.prec:
-            return 0
-        return (self.num >> (self.prec - i)) & 1
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.prec)
-
-    def __float__(self) -> float:
-        return self.num / (1 << self.prec)
-
-
-@dataclass(frozen=True)
 class DyadicPoint:
     """Point in [0,1)^s with one numerator per coordinate at shared precision."""
 
@@ -66,13 +38,6 @@ class DyadicPoint:
     @property
     def s(self) -> int:
         return len(self.coords)
-
-    def coord(self, j: int) -> Dyadic:
-        return Dyadic(self.coords[j], self.precision)
-
-    def values(self) -> tuple[float, ...]:
-        denom = 1 << self.precision
-        return tuple(c / denom for c in self.coords)
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .points import Dyadic, DyadicPoint
+from .points import DyadicPoint
 
 WalshIndex = tuple[int, ...]
 
@@ -45,11 +45,6 @@ def mu_alpha(k: int, alpha: int) -> int:
         k ^= 1 << (pos - 1)
         taken += 1
     return total
-
-
-def wal(k: int, x: Dyadic) -> int:
-    """Scalar Walsh character wal_k(x) in {-1, +1}."""
-    return wal_vec((k,), DyadicPoint((x.num,), x.prec))
 
 
 def wal_vec(ks: Sequence[int], x: DyadicPoint) -> int:
@@ -103,6 +98,22 @@ def r_coeff(k: int, l: int) -> Fraction:
     return Fraction(0)
 
 
+def _r_table(trunc: int) -> list[tuple[int, int, Fraction]]:
+    """Nonzero (k, l, r(k, l)) with k, l < 2^trunc, sorted.  By r_coeff's
+    cases l agrees with k below the top set bits (l = k included), is k
+    without its top two bits or is k plus two higher bits, and these never
+    coincide: 5 * 2^trunc - 2 trunc - 4 entries."""
+    out = []
+    for k in range(1 << trunc):
+        rest = k ^ (1 << k.bit_length() >> 1)
+        higher = [1 << b for b in range(k.bit_length(), trunc)]
+        ls = [rest | 1 << b for b in range(rest.bit_length(), trunc)]
+        ls += [rest ^ (1 << rest.bit_length() >> 1)]
+        ls += [k | h | g for i, h in enumerate(higher) for g in higher[:i]]
+        out += [(k, l, r_coeff(k, l)) for l in sorted(ls)]
+    return out
+
+
 MAX_ORACLE_GRID = 10
 
 
@@ -120,8 +131,8 @@ def r_coeff_oracle(k: int, l: int, grid: int) -> Fraction:
     if grid > MAX_ORACLE_GRID:
         raise ValueError(f"grid exponent capped at {MAX_ORACLE_GRID}")
     n = 1 << grid
-    sk = [wal(k, Dyadic(u, grid)) for u in range(n)]
-    sl = [wal(l, Dyadic(u, grid)) for u in range(n)]
+    sk = [wal_vec((k,), DyadicPoint((u,), grid)) for u in range(n)]
+    sl = [wal_vec((l,), DyadicPoint((u,), grid)) for u in range(n)]
     # Scale cell integrals of 1 - max(x, y) by D = 3*2^(3G+1) to get ints:
     #  off-diagonal (u != v): 3*2^(G+1) - 6*max(u,v) - 3
     #  diagonal     (u == v): 3*2^(G+1) - 6*u - 4

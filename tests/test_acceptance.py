@@ -53,7 +53,8 @@ def test_criterion_1_construction_exactness():
         for m in range(1, 33)
     )
     g = sequence_net(1, 1, 3)
-    vdc_ok = [nth_point(g, n).coord(0).as_fraction() for n in range(8)] == VDC_M3
+    vdc_ok = [Fraction(pt.coords[0], 1 << pt.precision)
+              for pt in (nth_point(g, n) for n in range(8))] == VDC_M3
     _gate(1, "first-coordinate identity and van der Corput order",
           identity_ok and vdc_ok, start, 1.0)
 

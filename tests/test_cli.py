@@ -11,6 +11,7 @@ from hodisc.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATED,
+    build_parser,
     format_bin,
     format_dec,
     format_hexfrac,
@@ -249,6 +250,34 @@ def test_dual_check_point_budget(capsys):
     assert err == "budget exceeded: generation of 2^11 points exceeds budget 2^10\n"
 
 
+def test_dual_check_sum_budget(capsys):
+    # --check sums every dual element over every point: 2^3 elements times
+    # 2^3 points fit 2^6 and are refused at 2^5, past both other budgets
+    argv = ["dual", "--s", "2", "--alpha", "1", "--m", "3", "--check"]
+    code, out, _ = run(capsys, *argv, "--budget-exponent", "6")
+    assert code == EXIT_OK and len(out.splitlines()) == 8
+    code, out, err = run(capsys, *argv, "--budget-exponent", "5")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == ("budget exceeded: character sums of 8 dual elements over 2^3 points "
+                   "= 64 terms exceed budget 2^5\n")
+    code, out, err = run(capsys, "dual", "--s", "2", "--alpha", "1", "--m", "14", "--check")
+    assert code == EXIT_BUDGET and out == ""
+    assert "= 268435456 terms exceed budget 2^24" in err
+
+
+def test_main_calls_share_one_parser_and_no_flags(capsys):
+    assert build_parser() is build_parser()
+    gen = ["gen", "--s", "2", "--alpha", "1", "--m", "2"]
+    dual = ["dual", "--s", "2", "--alpha", "1", "--m", "2"]
+    _, plain, _ = run(capsys, *gen)
+    _, listing, _ = run(capsys, *dual)
+    _, shifted, _ = run(capsys, *gen, "--shift", "a0,0")
+    _, checked, _ = run(capsys, *dual, "--check")
+    assert shifted != plain and "char_sum=" in checked
+    assert run(capsys, *gen)[1] == plain
+    assert run(capsys, *dual)[1] == listing and "char_sum=" not in listing
+
+
 def test_rtable(capsys):
     code, out, _ = run(capsys, "rtable", "--kmax", "2")
     assert code == EXIT_OK
@@ -264,6 +293,9 @@ def test_rtable(capsys):
 
 
 def test_rtable_line_budget(capsys):
+    # 4^11 lines fill the 2^22 budget exactly, 4^12 exceed it
+    code, out, err = run(capsys, "rtable", "--kmax", "11", "--out", os.devnull)
+    assert (code, out, err) == (EXIT_OK, "", "")
     code, out, err = run(capsys, "rtable", "--kmax", "12")
     assert code == EXIT_BUDGET and out == ""
     assert err == "budget exceeded: rtable of 4^12 = 16777216 lines exceeds budget 2^22\n"

@@ -14,7 +14,6 @@ from hodisc.discrepancy import (
     _columns,
     _dominance_sums,
     _quadrature_sq,
-    _r_table,
     quadrature_oracle_l2,
     sum_of_digits,
     walsh_series_l2,
@@ -26,7 +25,7 @@ from hodisc.genmat import GeneratingMatrixSet, sequence_net
 from hodisc.gf2 import BitMatrix
 from hodisc.netverify import dual_enumerate
 from hodisc.points import DyadicPoint, corollary_pointset, digital_shift, net_points
-from hodisc.walsh import r_coeff, wal_vec
+from hodisc.walsh import _r_table, r_coeff, wal_vec
 
 
 def random_pointset(rng: random.Random, s: int, n: int, prec: int) -> list[DyadicPoint]:

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import math
@@ -12,6 +13,7 @@ from hodisc.gf2 import BitMatrix, xor_rows
 from hodisc.netverify import (
     JAlphaBox,
     VerificationBudgetError,
+    _selection_pattern_count,
     box_counts,
     character_sum,
     dual_enumerate,
@@ -21,7 +23,7 @@ from hodisc.netverify import (
     smallest_certified_t,
     verify_order_alpha,
 )
-from hodisc.points import Dyadic, net_points
+from hodisc.points import net_points
 from hodisc.walsh import mu_alpha
 
 
@@ -70,6 +72,37 @@ def test_budget_as_third_outcome():
     assert info.value.estimate > 10
 
 
+def _brute_pattern_count(p, alpha, cap, s):
+    """s-tuples of subsets of {1..p}, each of at most alpha elements, whose
+    elements sum to at most cap in total."""
+    weights = [sum(c) for size in range(alpha + 1)
+               for c in itertools.combinations(range(1, p + 1), size)]
+    return sum(sum(ws) <= cap for ws in itertools.product(weights, repeat=s))
+
+
+def test_selection_pattern_count_is_the_brute_force_count():
+    for p, alpha, s in itertools.product(range(7), range(1, 4), range(1, 4)):
+        weights = [sum(c) for size in range(alpha + 1)
+                   for c in itertools.combinations(range(1, p + 1), size)]
+        totals = sorted(sum(ws) for ws in itertools.product(weights, repeat=s))
+        for cap in range(-1, 12):
+            want = bisect.bisect_right(totals, cap)
+            assert _selection_pattern_count(p, alpha, cap, s) == want, (p, alpha, cap, s)
+
+
+def test_pattern_budget_is_the_exact_estimate():
+    # the whole certifying walk runs at a budget equal to the pattern count
+    # and is refused one below it
+    g, t = sequence_net(2, 2, 6), 4
+    cap = 2 * g.width - t
+    want = _brute_pattern_count(min(g.depth, cap), 2, cap, g.s)
+    assert want == 121
+    assert find_dependency(g, 2, t, budget=want) is None
+    with pytest.raises(VerificationBudgetError) as info:
+        find_dependency(g, 2, t, budget=want - 1)
+    assert (info.value.estimate, info.value.budget) == (want, want - 1)
+
+
 def test_order_reduction_consistency():
     # certified at (alpha, t) implies certified at (alpha', ceil(t a'/a))
     g = sequence_net(1, 2, 5)
@@ -113,14 +146,14 @@ def test_box_counts_validates_shape():
 def test_j_box_half_interval():
     box = JAlphaBox((1, 0), (0, 0))  # pins digit 1 = 0, ignores position 0
     assert box.constrained_digits() == 1
-    assert box.contains(Dyadic(0, 3))
-    assert box.contains(Dyadic(3, 3))   # 3/8
-    assert not box.contains(Dyadic(4, 3))  # 1/2 is outside [0, 1/2)
+    assert box.contains(0, 3)
+    assert box.contains(3, 3)   # 3/8
+    assert not box.contains(4, 3)  # 1/2 is outside [0, 1/2)
 
 
 def test_j_box_union_of_intervals():
     box = JAlphaBox((3, 1), (1, 1))  # [5/8, 6/8) + [7/8, 1)
-    members = [n for n in range(8) if box.contains(Dyadic(n, 3))]
+    members = [n for n in range(8) if box.contains(n, 3)]
     assert members == [5, 7]
     count, vol = j_alpha_count(net_points(sequence_net(1, 1, 3)), [box])
     assert vol == Fraction(1, 4)
@@ -129,9 +162,19 @@ def test_j_box_union_of_intervals():
 
 def test_j_box_trivial():
     box = JAlphaBox((), ())
-    assert box.contains(Dyadic(5, 3))
+    assert box.contains(5, 3)
     count, vol = j_alpha_count(net_points(sequence_net(1, 1, 2)), [box])
     assert (count, vol) == (4, 1)
+
+
+def test_j_box_digits_beyond_precision_are_zero():
+    # 0.101: digits 1, 0, 1, then 0 at position 4, one past the precision
+    x = 0b101, 3
+    for i, digit in enumerate((1, 0, 1, 0), start=1):
+        assert JAlphaBox((i,), (digit,)).contains(*x)
+        assert not JAlphaBox((i,), (1 - digit,)).contains(*x)
+    assert JAlphaBox((4, 3, 1), (0, 1, 1)).contains(*x)
+    assert not JAlphaBox((4, 3, 1), (1, 1, 1)).contains(*x)
 
 
 def test_j_box_malformed():

@@ -12,7 +12,6 @@ from hodisc.genmat import (
 )
 from hodisc.gf2 import BitMatrix, matvec
 from hodisc.points import (
-    Dyadic,
     DyadicPoint,
     corollary_exact_coords,
     corollary_pointset,
@@ -33,7 +32,8 @@ def test_point_zero_index_is_origin():
 
 def test_van_der_corput_order():
     g = sequence_net(1, 1, 3)
-    values = [nth_point(g, n).coord(0).as_fraction() for n in range(8)]
+    values = [Fraction(pt.coords[0], 1 << pt.precision)
+              for pt in (nth_point(g, n) for n in range(8))]
     assert values == VDC_M3
 
 
@@ -69,15 +69,21 @@ def test_points_match_the_matrix_definition(s, depth, width, data):
 @given(st.integers(1, 3), st.sampled_from([1, 12, 63, 64, 65, 100, 128]), st.integers(0, 10),
        st.data())
 def test_net_points_equal_nth_point_at_every_count(s, depth, width, data):
-    # uint64 columns up to depth 64, object columns beyond; every prefix
-    # length, so each doubling step is also cut part-way
+    # uint64 columns up to depth 64, object columns beyond; prefix lengths
+    # cut each doubling step part-way: every count up to width 7, and above
+    # it 0, 2^l - 1, 2^l and 2^l + 1 for every l plus three drawn counts
     row = st.integers(0, (1 << width) - 1)
     mats = tuple(
         BitMatrix.from_rows([data.draw(row) for _ in range(depth)], width) for _ in range(s)
     )
     g = GeneratingMatrixSet(s, depth, width, mats, 1, None)
     want = [nth_point(g, n) for n in range(1 << width)]
-    for count in range((1 << width) + 1):
+    counts = set(range((1 << width) + 1))
+    if width > 7:
+        counts = {0} | {c for l in range(width + 1) for c in (2**l - 1, 2**l, 2**l + 1)}
+        counts = {c for c in counts if c <= 1 << width}
+        counts |= {data.draw(st.integers(0, 1 << width)) for _ in range(3)}
+    for count in sorted(counts):
         pts = net_points(g, count)
         assert pts == want[:count]
         assert all(type(c) is int for pt in pts for c in pt.coords)
@@ -100,7 +106,7 @@ def test_interlace_point_hand_example():
     x = DyadicPoint((0b11, 0b10), 2)
     out = interlace_point(x, 2)
     assert out.s == 1 and out.precision == 4
-    assert out.coord(0).as_fraction() == Fraction(0b1110, 16)
+    assert Fraction(out.coords[0], 1 << out.precision) == Fraction(0b1110, 16)
 
 
 def test_interlace_alpha_one_is_identity():
@@ -134,7 +140,7 @@ def test_digital_shift_identities():
 def test_digital_shift_hand_example():
     # 1/2 xor 3/4 = 1/4
     out = digital_shift(DyadicPoint((0b10,), 2), DyadicPoint((0b11,), 2))
-    assert out.coord(0).as_fraction() == Fraction(1, 4)
+    assert Fraction(out.coords[0], 1 << out.precision) == Fraction(1, 4)
 
 
 def test_digital_shift_pads_precision():
@@ -262,10 +268,3 @@ def test_truncated_net_matches_sequence_prefix():
         # trailing digits beyond the truncated depth vanish
         assert all(c & ((1 << (wide.depth - small.depth)) - 1) == 0
                    for c in long_pt.coords)
-
-
-def test_dyadic_digit_access():
-    d = Dyadic(0b101, 3)
-    assert [d.digit(i) for i in (1, 2, 3, 4)] == [1, 0, 1, 0]
-    with pytest.raises(IndexError):
-        d.digit(0)

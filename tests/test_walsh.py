@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodisc.netverify import character_sum
-from hodisc.points import Dyadic, DyadicPoint, digital_shift
-from hodisc.walsh import mu, mu_alpha, mu_vec, r_coeff, r_coeff_oracle, wal, wal_vec
+from hodisc.points import DyadicPoint, digital_shift
+from hodisc.walsh import mu, mu_alpha, mu_vec, r_coeff, r_coeff_oracle, wal_vec
 
 
 def test_mu_values():
@@ -30,17 +30,17 @@ def test_mu_alpha():
 
 def test_wal_zero_index_is_one():
     for num in range(8):
-        assert wal(0, Dyadic(num, 3)) == 1
+        assert wal_vec((0,), DyadicPoint((num,), 3)) == 1
 
 
 def test_wal_hand_values():
-    assert wal(1, Dyadic(1, 1)) == -1          # wal_1(1/2)
-    assert wal(3, Dyadic(3, 2)) == 1           # digits .11 against binary 11
-    assert wal(2, Dyadic(1, 2)) == -1          # second digit of 1/4
+    assert wal_vec((1,), DyadicPoint((1,), 1)) == -1  # wal_1(1/2)
+    assert wal_vec((3,), DyadicPoint((3,), 2)) == 1   # digits .11 against binary 11
+    assert wal_vec((2,), DyadicPoint((1,), 2)) == -1  # second digit of 1/4
 
 
 def test_wal_beyond_precision_reads_zero_digits():
-    assert wal(8, Dyadic(1, 1)) == 1  # digit 4 of 0.1 is 0
+    assert wal_vec((8,), DyadicPoint((1,), 1)) == 1  # digit 4 of 0.1 is 0
 
 
 def test_wal_vec_product():
@@ -76,7 +76,6 @@ def test_negative_walsh_index_rejected():
         lambda: wal_vec((-1,), x),
         lambda: wal_vec((0, -3), DyadicPoint((1, 2), 2)),
         lambda: character_sum([x], (-1,)),
-        lambda: wal(-1, Dyadic(1, 2)),
     )
     for call in calls:
         with pytest.raises(ValueError):
