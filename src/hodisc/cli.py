@@ -42,6 +42,7 @@ EXIT_USAGE = 64
 
 DEFAULT_SEQUENCE_ALPHA = 5  # scan/gen sequence mode
 DEFAULT_POINT_BUDGET_EXPONENT = 22  # at most 2^22 points (gen, disc, scan) or lines (rtable)
+GEN_BLOCK_ROWS = 1 << 16  # gen formats and writes its lines this many at a time
 
 
 class PointBudgetError(Exception):
@@ -221,14 +222,24 @@ def _cmd_gen(args) -> int:
     fmt = _FORMATTERS[args.format]
     if args.format == "dec":
         fmt = _dec_formatter(prec)
-    lines = [" ".join(fmt(c, prec) for c in row) for row in zip(*(c.tolist() for c in cols))]
-    _emit(["\n".join(lines) + "\n"], args.out)
+    _emit(_gen_blocks(cols, prec, fmt), args.out)
     return EXIT_OK
+
+
+def _gen_blocks(cols, prec: int, fmt) -> Iterator[str]:
+    """The formatted lines of the numerator columns, GEN_BLOCK_ROWS rows per piece."""
+    for start in range(0, len(cols[0]), GEN_BLOCK_ROWS):
+        rows = zip(*(c[start:start + GEN_BLOCK_ROWS].tolist() for c in cols))
+        yield "".join(" ".join(fmt(c, prec) for c in row) + "\n" for row in rows)
 
 
 def _cmd_disc(args) -> int:
     if args.infile:
         points = read_point_file(args.infile, args.format)
+        if max(len(points) - 1, 0).bit_length() > args.budget_exponent:
+            sys.stderr.write(f"budget exceeded: {len(points)} points in {args.infile} "
+                             f"exceed budget 2^{args.budget_exponent}\n")
+            return EXIT_BUDGET
     else:
         points = _generate(args)
     value = warnock_l2(points, exact=args.exact)

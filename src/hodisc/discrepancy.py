@@ -9,26 +9,31 @@ Every path reads the points once, into one numerator column per coordinate
 (object arrays of Python ints at one common precision), and does its exact
 integer work over those arrays.  S1 is an exact integer in the fixed-point
 domain, one array product over the columns, and S2 runs over the columns of
-1 - x (1 - max(x,y) = min(1-x, 1-y)).  Three kernels compute S2, chosen by
-the dimension and by one-shot versus scan:
+complements c = 1 - x (1 - max(x,y) = min(1-x, 1-y)).  One core gives what
+each point adds to S2 after the points before it over k columns,
+2 sum_{l<n} prod_j min(c_jl, c_jn) + prod_j c_jn, and picks its kernel by
+k alone:
 
-* one sort for one-shots at s = 1: over the complements in ascending order,
-  S2 = sum_{i=0}^{N-1} b_(i) (2(N - i) - 1);
-* the dominance sweep (Heinrich, Math. Comp. 65, 1996) for one-shots at
-  s = 2 and scans at s = 1: O(N log N) exact integer operations over log N
-  levels, each one int64 argsort and prefix sums over 31-bit int64 limbs of
-  the complements, which are combined into Python ints once at the end;
-* the O(N^2 s) row loop for scans with s >= 2 and one-shots with s >= 3:
-  one pass that yields S2 after every point, so the one-shot value is the
-  scan's last row.  Exact mode keeps Python integers and is limited to
-  N <= EXACT_LIMIT; float mode computes each point's row in float64 and
-  adds the row exactly to an integer S2.
+* k = 0: 2n + 1;
+* k = 1: the dominance sweep (Heinrich, Math. Comp. 65, 1996), O(N log N)
+  exact integer operations over log N levels, each one int64 argsort and
+  prefix sums over 31-bit int64 limbs of the complements, which are
+  combined into Python ints once at the end;
+* k >= 2: the O(N^2 k) row loop.  Exact mode keeps Python integers and is
+  limited to N <= EXACT_LIMIT; float mode computes each point's row in
+  float64 and adds it exactly.
+
+A scan sums the core over all s columns in stream order.  A one-shot sorts
+the points by their first complement a, descending, so min(a_l, a_n) = a_n
+for l < n and S2 = sum_n a_n K_n, K the core over the other s - 1 columns.
+One-shots at s <= 2 and scans at s = 1 thus run no row loop.
 
 Every value closes with one integer numerator over one integer denominator:
 a Fraction in exact mode, otherwise the float that division rounds
 correctly from it (a scan builds both as arrays over all its rows).  A
-float from the sort or the sweep is thus the rounded exact value, and one
-from the row loop the rounded exact sum of its float64 rows.
+float without the row loop is thus the rounded exact value, and one with
+it the rounded exact sum of its float64 rows (weighted exactly by a in a
+one-shot).
 
 Two checks do not use Warnock.  The truncated Walsh series works from one
 transform of the point histogram.  The quadrature oracle integrates
@@ -42,12 +47,11 @@ before any contraction, and its int64 work runs in chunks of CHUNK_CELLS
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -79,45 +83,6 @@ def _columns(points: Sequence[DyadicPoint]) -> tuple[list[np.ndarray], int, int]
         shift = prec - np.array(precs, dtype=object)
         cols = [c << shift for c in cols]
     return cols, prec, s
-
-
-def _complements(cols: list[np.ndarray], prec: int, j: int) -> np.ndarray:
-    """1 - x_j of every point as Python ints in units of 2^-prec."""
-    return (1 << prec) - cols[j]
-
-
-def _prefix_sums(cols: list[np.ndarray], prec: int, exact: bool) -> Iterator[int]:
-    """Yield S2 over the first N points, for N = 1, 2, ..., as an int in
-    units of 2^-sp.
-
-    Point n adds its kernel with each earlier point twice and with itself
-    once.  Exact mode keeps the columns as Python ints.  Float mode computes
-    each point's row in float64 and adds it exactly: every float here is a
-    multiple of 2^-sp (the columns are multiples of 2^-p, min is exact, and
-    rounding to 53 bits or into the subnormal range keeps a multiple of
-    2^-u for u <= 1074, while above that every float is one), so the shift
-    below is never negative.
-    """
-    count, s = len(cols[0]), len(cols)
-    if exact and count > EXACT_LIMIT:
-        raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
-    comps = [_complements(cols, prec, j) for j in range(s)]
-    if not exact:
-        one = 1 << prec
-        comps = [(col / one).astype(float) for col in comps]
-    s2 = 0
-    for n in range(count):
-        row = np.minimum(comps[0][:n], comps[0][n])
-        diag = comps[0][n]
-        for col in comps[1:]:
-            row *= np.minimum(col[:n], col[n])
-            diag *= col[n]
-        added = 2 * row.sum() + diag
-        if not exact:
-            a, b = added.as_integer_ratio()
-            added = a << (s * prec + 1 - b.bit_length())
-        s2 += added
-        yield s2
 
 
 def _limbs(b: np.ndarray, bits: int = LIMB_BITS) -> list[np.ndarray]:
@@ -185,6 +150,43 @@ def _dominance_sums(b: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _added(comps: list[np.ndarray], count: int, prec: int, exact: bool) -> np.ndarray:
+    """What each point adds to S2 after the points before it, for k
+    complement columns (Python ints in units of 2^-prec):
+    2 sum_{l<n} prod_j min(c_jl, c_jn) + prod_j c_jn, as Python ints in
+    units of 2^-kp, from the kernel for k (see the module docstring).
+
+    The sweep (k = 1) runs over the reversed order, so its sums over later
+    points are sums over earlier ones.  Every float of the float row loop
+    is a multiple of 2^-kp (the columns are multiples of 2^-p, min is
+    exact, and rounding to 53 bits or into the subnormal range keeps a
+    multiple of 2^-u for u <= 1074, while above that every float is one),
+    so the shift below is never negative.
+    """
+    k = len(comps)
+    if k == 0:
+        return np.arange(1, 2 * count, 2).astype(object)
+    if k == 1:
+        return 2 * _dominance_sums(comps[0][::-1])[::-1] + comps[0]
+    if exact and count > EXACT_LIMIT:
+        raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
+    if not exact:
+        comps = [(col / (1 << prec)).astype(float) for col in comps]
+    added = np.empty(count, dtype=object)
+    for n in range(count):
+        row = np.minimum(comps[0][:n], comps[0][n])
+        diag = comps[0][n]
+        for col in comps[1:]:
+            row *= np.minimum(col[:n], col[n])
+            diag *= col[n]
+        total = 2 * row.sum() + diag
+        if not exact:
+            a, b = total.as_integer_ratio()
+            total = a << (k * prec + 1 - b.bit_length())
+        added[n] = total
+    return added
+
+
 def _point_terms(cols: list[np.ndarray], prec: int) -> np.ndarray:
     """prod_j (1 - x_j^2)/2 of every point as Python ints, in units of
     2^-s(2p+1)."""
@@ -193,35 +195,6 @@ def _point_terms(cols: list[np.ndarray], prec: int) -> np.ndarray:
     for col in cols[1:]:
         terms = terms * (one2 - col * col)
     return terms
-
-
-def _pair_sum(cols: list[np.ndarray], prec: int) -> int:
-    """Exact S2 for s <= 2.
-
-    At s = 1 one sort does: over b = 1 - x ascending, b_(i) is the min of
-    its pair with itself and of both pairs with each of the N - 1 - i later
-    values, so S2 = sum_i b_(i) (2(N - i) - 1).  At s = 2 the points are
-    sorted by a = 1 - x_1, so min(a_k, a_l) = a_k for k < l and
-    S2 = 2 sum_k a_k T_k + sum_k a_k b_k with T over b = 1 - x_2.
-    """
-    a = _complements(cols, prec, 0)
-    order = _ascending(_limbs(a))
-    a = a[order]
-    if len(cols) == 1:
-        return a.dot(np.arange(2 * len(a) - 1, 0, -2).astype(object))
-    b = _complements(cols, prec, 1)[order]
-    return 2 * a.dot(_dominance_sums(b)) + a.dot(b)
-
-
-def _sweep_prefix_sums(cols: list[np.ndarray], prec: int) -> np.ndarray:
-    """Exact S2 of every prefix of a 1-d point list, as Python ints.
-
-    The sweep over the reversed list sums each point's kernel with every
-    earlier point, so point n adds 2 T_n + b_n to S2.
-    """
-    b = _complements(cols, prec, 0)
-    earlier = _dominance_sums(b[::-1])[::-1]
-    return np.cumsum(2 * earlier + b)
 
 
 def _rational_parts(count, s1, s2, s: int, prec: int):
@@ -241,13 +214,15 @@ def _rational_parts(count, s1, s2, s: int, prec: int):
 def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool = False) -> float | Fraction:
     """Squared L2 discrepancy; Fraction in exact mode, float otherwise.
 
-    The float is the one that int/int division rounds correctly from the
-    exact numerator and denominator."""
+    The points are sorted by their first complement a, descending, so that
+    min(a_l, a_n) = a_n for l < n and S2 = sum_n a_n K_n, K what each point
+    adds over the other s - 1 columns.  The float is the one that int/int
+    division rounds correctly from the exact numerator and denominator."""
     cols, prec, s = _columns(points)
-    if s <= 2:
-        s2 = _pair_sum(cols, prec)
-    else:
-        s2 = deque(_prefix_sums(cols, prec, exact), maxlen=1).pop()
+    comps = [(1 << prec) - c for c in cols]
+    order = _ascending(_limbs(comps[0]))[::-1]
+    a, *rest = [c[order] for c in comps]
+    s2 = a.dot(_added(rest, len(points), prec, exact))
     num, den = _rational_parts(len(points), _point_terms(cols, prec).sum(), s2, s, prec)
     return Fraction(num, den) if exact else num / den
 
@@ -307,11 +282,10 @@ def warnock_scan(
 ) -> DiscrepancyReport:
     """Prefix L2 for every N = 2..n_max of a point stream.
 
-    At s = 1 the dominance sweep gives every prefix's exact sums in
-    O(n_max log n_max), and each row is the square root of the correctly
-    rounded exact value in both modes.  At s >= 2 the row loop keeps a
-    running integer S2, so the scan costs O(n_max^2 * s) kernel evaluations
-    and exact mode is limited to EXACT_LIMIT points.  Numerators and
+    S2 of every prefix is the running sum of what each point adds over all
+    s columns in stream order: the dominance sweep at s = 1, exact in
+    O(n_max log n_max), and the O(n_max^2 s) row loop at s >= 2, whose
+    exact mode is limited to EXACT_LIMIT points.  Numerators and
     denominators of all rows are object arrays; the float division and the
     square root (both correctly rounded) run over them, while the log in
     the ratios stays per row, as libm's.
@@ -322,17 +296,11 @@ def warnock_scan(
     if len(points) < n_max:
         raise ValueError(f"stream ended after {len(points)} points, need {n_max}")
     cols, prec, s = _columns(points)
-    if s == 1:
-        pair_sums = _sweep_prefix_sums(cols, prec)
-    else:
-        pair_sums = np.fromiter(_prefix_sums(cols, prec, exact), dtype=object, count=n_max)
+    pair_sums = np.cumsum(_added([(1 << prec) - c for c in cols], n_max, prec, exact))
     counts = range(2, n_max + 1)
     num, den = _rational_parts(np.array(counts, dtype=object),
                                np.cumsum(_point_terms(cols, prec))[1:], pair_sums[1:], s, prec)
-    if exact:
-        l2 = np.array([math.sqrt(Fraction(a, b)) for a, b in zip(num, den)])
-    else:
-        l2 = np.sqrt((num / den).astype(float))
+    l2 = np.sqrt((num / den).astype(float))
     digits = list(map(sum_of_digits, counts))
     exponent = (s - 1) / 2
     roth = l2 * np.array(counts, dtype=float) / [math.log(n) ** exponent for n in counts]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hodisc.cli
 from hodisc.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -135,6 +136,21 @@ def test_gen_deterministic(capsys):
     assert first == second
 
 
+def test_gen_blocks_join_to_the_unblocked_text(monkeypatch):
+    # 128 rows in blocks of 7, the last one partial, give the bytes of one block
+    args = ["gen", "--s", "3", "--alpha", "2", "--m", "7", "--shift", "abc,1,ffff", "--format"]
+    pieces = []
+    monkeypatch.setattr(hodisc.cli, "_emit", lambda text, _: pieces.append(list(text)))
+    for fmt in ("dec", "hexfrac", "bin"):
+        for rows in (1 << 30, 7):
+            monkeypatch.setattr(hodisc.cli, "GEN_BLOCK_ROWS", rows)
+            assert main(args + [fmt]) == EXIT_OK
+        whole, blocks = pieces[-2:]
+        assert len(whole) == 1 and len(whole[0].splitlines()) == 128
+        assert len(blocks) == 19 and all(b.count("\n") == 7 for b in blocks[:-1])
+        assert "".join(blocks) == whole[0]
+
+
 def test_disc_generated_and_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--s", "1", "--alpha", "1", "--m", "3")
     pointfile = tmp_path / "pts.txt"
@@ -200,6 +216,18 @@ def test_point_budget_default_refuses_2_to_the_40(capsys):
     code, out, err = run(capsys, "gen", "--s", "1", "--m", "40")
     assert code == EXIT_BUDGET and out == ""
     assert "2^40" in err and "2^22" in err
+
+
+def test_disc_file_point_budget(tmp_path, capsys):
+    # 5 points fit 2^3 and are refused at 2^2, after parsing and before Warnock
+    pointfile = tmp_path / "pts.txt"
+    pointfile.write_text("0.5\n0.25\n0.75\n0.125\n0\n")
+    code, out, _ = run(capsys, "disc", "--in", str(pointfile), "--budget-exponent", "3")
+    assert code == EXIT_OK and float(out) > 0
+    for exponent in ("2", "1"):
+        code, out, err = run(capsys, "disc", "--in", str(pointfile), "--budget-exponent", exponent)
+        assert code == EXIT_BUDGET and out == ""
+        assert err == f"budget exceeded: 5 points in {pointfile} exceed budget 2^{exponent}\n"
 
 
 def test_verify_certified_exit_zero(capsys):

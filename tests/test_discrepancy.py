@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import hodisc.discrepancy
 from hodisc.discrepancy import (
     DiscrepancyReport,
+    _added,
     _columns,
     _dominance_sums,
     _quadrature_sq,
@@ -100,11 +101,13 @@ def test_float_row_loop_is_exact_at_low_precision():
 
 
 def test_float_row_loop_near_one_beyond_the_float_range():
-    # 1 - x between 2^-p and 2^(4-2p/3): at s*p = 1040, 1200 and 1300 the
-    # row products fall in the normal, subnormal and zero ranges, and every
-    # row must still add to S2 without a negative shift
+    # 1 - x between 2^-p and 2^(4-2p/3): at k*p = 1040, 1200 and 1300, over
+    # the k = s columns of a scan's rows and the k = s - 1 of a one-shot's,
+    # the row products fall in the normal, subnormal and zero ranges, and
+    # every row must still add to S2 without a negative shift
     rng = random.Random(10)
-    for s, prec in ((4, 260), (2, 520), (3, 400), (2, 600), (4, 325), (2, 650)):
+    for s, prec in ((4, 260), (2, 520), (3, 400), (2, 600), (4, 325), (2, 650),
+                    (5, 260), (4, 400), (5, 325)):
         top = 1 << prec
         pts = [DyadicPoint(tuple(top - (rng.randint(1, 16) << rng.choice((0, 2, prec // 3)))
                                  for _ in range(s)), prec)
@@ -156,11 +159,34 @@ def _definition_l2_sq(points) -> Fraction:
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 2).flatmap(_tied_points))
+@given(st.integers(1, 3).flatmap(_tied_points))
 def test_sweep_matches_definition(points):
     exact = warnock_l2_sq(points, exact=True)
     assert exact == _definition_l2_sq(points)
-    assert warnock_l2_sq(points) == float(exact)
+    if len(points[0].coords) <= 2:  # at s = 3 the row loop rounds each row in float64
+        assert warnock_l2_sq(points) == float(exact)
+
+
+def _core_cases(k: int, prec: int):
+    """(k, prec, rows): 1 to 40 rows of k complements in (0, 2^prec], often tied."""
+    top = 1 << prec
+    comp = st.one_of(st.sampled_from([1, top // 2 or 1, top]), st.integers(1, top))
+    return st.tuples(st.just(k), st.just(prec),
+                     st.lists(st.tuples(*[comp] * k), min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 70)).flatmap(lambda kp: _core_cases(*kp)))
+def test_added_matches_the_direct_sum(case):
+    # every kernel of the core (k = 0, 1, >= 2) against the sum over earlier
+    # rows; at precision <= 8 every float64 row is exact
+    k, prec, rows = case
+    comps = [np.array(col, dtype=object) for col in zip(*rows)]
+    want = [2 * sum(math.prod(map(min, u, v)) for u in rows[:n]) + math.prod(v)
+            for n, v in enumerate(rows)]
+    assert _added(comps, len(rows), prec, exact=True).tolist() == want
+    if prec <= 8:
+        assert _added(comps, len(rows), prec, exact=False).tolist() == want
 
 
 def _mixed_pointset(rng: random.Random, s: int, n: int, top_prec: int = 128):
