@@ -12,7 +12,7 @@ import functools
 import re
 import sys
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .discrepancy import warnock_l2, warnock_scan
 from .genmat import GeneratingMatrixSet, sequence_net, write_matrix_files
@@ -40,16 +40,14 @@ EXIT_VIOLATED = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 
-DEFAULT_SEQUENCE_ALPHA = 5  # scan/gen sequence mode
+DEFAULT_SEQUENCE_ALPHA = 5  # sequence mode of gen, disc and scan
 DEFAULT_POINT_BUDGET_EXPONENT = 22  # at most 2^22 points (gen, disc, scan) or lines (rtable)
 GEN_BLOCK_ROWS = 1 << 16  # gen formats and writes its lines this many at a time
+MAX_FILE_PRECISION = 1024  # bits per coordinate that disc --in reads, 8x a corollary set's
 
 
-class PointBudgetError(Exception):
-    """A point set larger than 2^budget_exponent points was requested."""
-
-    def __init__(self, points: str, budget_exponent: int) -> None:
-        super().__init__(f"generation of {points} points exceeds budget 2^{budget_exponent}")
+class BudgetExceeded(Exception):
+    """A request refused for its size; the message names the size and the budget."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,32 +57,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _dec_formatter(prec: int):
-    """format_dec for one precision, with 5^prec computed once; it takes
-    (num, prec) like every formatter and ignores the second argument."""
+def format_dec(prec: int) -> Callable[[int], str]:
+    """The exact decimal expansion of num * 2^-prec, as a function of num."""
     five = 5**prec
 
-    def format_dec_at(num: int, _prec: int) -> str:
-        if num == 0:
-            return "0"
-        digits = str(num * five).rjust(prec, "0")
-        frac = digits.rstrip("0") or "0"
-        return "0." + frac
+    def dec(num: int) -> str:
+        return "0." + str(num * five).rjust(prec, "0").rstrip("0") if num else "0"
 
-    return format_dec_at
+    return dec
 
 
-def format_dec(num: int, prec: int) -> str:
-    """Exact decimal expansion of num * 2^-prec."""
-    return _dec_formatter(prec)(num, prec)
+def format_hexfrac(prec: int) -> Callable[[int], str]:
+    return lambda num: f"0x{num:x}p-{prec}"
 
 
-def format_hexfrac(num: int, prec: int) -> str:
-    return f"0x{num:x}p-{prec}"
-
-
-def format_bin(num: int, prec: int) -> str:
-    return "0." + format(num, f"0{prec}b") if prec else "0"
+def format_bin(prec: int) -> Callable[[int], str]:
+    spec = f"0{prec}b"
+    return lambda num: "0." + format(num, spec) if prec else "0"
 
 
 _FORMATTERS = {"dec": format_dec, "hexfrac": format_hexfrac, "bin": format_bin}
@@ -149,6 +138,9 @@ def read_point_file(path: str, fmt: str) -> list[DyadicPoint]:
     parsed = [[parse_coordinate(tok, fmt) for tok in ln.split()] for ln in lines]
     s = len(parsed[0])
     prec = max((p for row in parsed for _, p in row), default=0)
+    if prec > MAX_FILE_PRECISION:  # every coordinate would be shifted to it
+        raise BudgetExceeded(f"precision of {prec} bits in {path} exceeds cap "
+                             f"{MAX_FILE_PRECISION}")
     points = []
     for row in parsed:
         if len(row) != s:
@@ -185,30 +177,32 @@ def _parse_shift(text: str, s: int) -> DyadicPoint:
 
 
 def _check_points(points: str, log2_points: int, budget_exponent: int) -> None:
-    """Raise PointBudgetError if 2^log2_points exceeds 2^budget_exponent."""
+    """Refuse 2^log2_points points beyond 2^budget_exponent."""
     if log2_points > budget_exponent:
-        raise PointBudgetError(points, budget_exponent)
+        raise BudgetExceeded(f"generation of {points} points exceeds budget 2^{budget_exponent}")
+
+
+def _sequence(args, m: int) -> GeneratingMatrixSet:
+    """The net of the first 2^m points of the sequence of gen, disc or scan."""
+    alpha = DEFAULT_SEQUENCE_ALPHA if args.alpha is None else args.alpha
+    return sequence_net(args.s, alpha, m)
 
 
 def _generated_net(args) -> GeneratingMatrixSet | None:
     """Check the generated-mode flags and the point budget before anything
     is built; the net's matrices, or None in corollary (--count) mode."""
+    if args.count is None and args.m is None:
+        raise ValueError("need --m (net mode) or --count (corollary mode)")
+    if args.s is None:
+        raise ValueError("need --s to generate points, or --in FILE")
     if args.count is not None:
         if args.alpha is not None:
             raise ValueError("--alpha is fixed to 3 in corollary (--count) mode")
         _check_points(str(args.count), max(args.count - 1, 0).bit_length(),
                       args.budget_exponent)
         return None
-    if args.m is None:
-        raise ValueError("need --m (net mode) or --count (corollary mode)")
     _check_points(f"2^{args.m}", args.m, args.budget_exponent)
-    alpha = args.alpha if args.alpha is not None else DEFAULT_SEQUENCE_ALPHA
-    return sequence_net(args.s, alpha, args.m)
-
-
-def _generate(args) -> list[DyadicPoint]:
-    g = _generated_net(args)
-    return corollary_pointset(args.s, args.count) if g is None else net_points(g)
+    return _sequence(args, args.m)
 
 
 def _cmd_gen(args) -> int:
@@ -219,29 +213,26 @@ def _cmd_gen(args) -> int:
         cols, prec = _net_columns(g, 1 << g.width), g.depth
     if args.shift is not None:
         cols, prec = _shift_columns(cols, prec, _parse_shift(args.shift, args.s))
-    fmt = _FORMATTERS[args.format]
-    if args.format == "dec":
-        fmt = _dec_formatter(prec)
-    _emit(_gen_blocks(cols, prec, fmt), args.out)
+    _emit(_gen_blocks(cols, _FORMATTERS[args.format](prec)), args.out)
     return EXIT_OK
 
 
-def _gen_blocks(cols, prec: int, fmt) -> Iterator[str]:
+def _gen_blocks(cols, fmt: Callable[[int], str]) -> Iterator[str]:
     """The formatted lines of the numerator columns, GEN_BLOCK_ROWS rows per piece."""
     for start in range(0, len(cols[0]), GEN_BLOCK_ROWS):
         rows = zip(*(c[start:start + GEN_BLOCK_ROWS].tolist() for c in cols))
-        yield "".join(" ".join(fmt(c, prec) for c in row) + "\n" for row in rows)
+        yield "".join(" ".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def _cmd_disc(args) -> int:
     if args.infile:
         points = read_point_file(args.infile, args.format)
         if max(len(points) - 1, 0).bit_length() > args.budget_exponent:
-            sys.stderr.write(f"budget exceeded: {len(points)} points in {args.infile} "
-                             f"exceed budget 2^{args.budget_exponent}\n")
-            return EXIT_BUDGET
+            raise BudgetExceeded(f"{len(points)} points in {args.infile} "
+                                 f"exceed budget 2^{args.budget_exponent}")
     else:
-        points = _generate(args)
+        g = _generated_net(args)
+        points = corollary_pointset(args.s, args.count) if g is None else net_points(g)
     value = warnock_l2(points, exact=args.exact)
     _emit([f"{value!r}\n"], args.out)
     return EXIT_OK
@@ -249,9 +240,7 @@ def _cmd_disc(args) -> int:
 
 def _cmd_scan(args) -> int:
     _check_points(str(args.nmax), max(args.nmax - 1, 0).bit_length(), args.budget_exponent)
-    alpha = args.alpha if args.alpha is not None else DEFAULT_SEQUENCE_ALPHA
-    width = max((args.nmax - 1).bit_length(), 1)
-    g = sequence_net(args.s, alpha, width)
+    g = _sequence(args, max((args.nmax - 1).bit_length(), 1))
     points = net_points(g, count=args.nmax)
     report = warnock_scan(points, args.nmax, exact=args.exact)
     _emit([report.to_csv()], args.out)
@@ -270,11 +259,7 @@ def _cmd_verify(args) -> int:
         print(f"trivial: order-{args.alpha} t={t} reaches alpha*m={top} "
               f"(formula bound {g.t_bound}); nothing to search")
         return EXIT_OK
-    try:
-        witness = find_dependency(g, args.alpha, t, budget=args.budget)
-    except VerificationBudgetError as exc:
-        print(f"unverified: {exc}")
-        return EXIT_BUDGET
+    witness = find_dependency(g, args.alpha, t, budget=args.budget)
     if witness is None:
         print(f"certified: order-{args.alpha} quality t={t} "
               f"(formula bound {g.t_bound})")
@@ -298,17 +283,11 @@ def _cmd_dual(args) -> int:
     if args.check:
         _check_points(f"2^{args.m}", args.m, args.budget_exponent)
     g = sequence_net(args.s, args.alpha, args.m)
-    try:
-        dual = dual_enumerate(g, budget_exponent=args.budget_exponent)
-    except VerificationBudgetError as exc:
-        print(f"unverified: {exc}")
-        return EXIT_BUDGET
+    dual = dual_enumerate(g, budget_exponent=args.budget_exponent)
     terms = dual.size() << args.m  # --check: one Walsh character per element and point
     if args.check and terms > 1 << args.budget_exponent:
-        sys.stderr.write(f"budget exceeded: character sums of {dual.size()} dual elements "
-                         f"over 2^{args.m} points = {terms} terms exceed budget "
-                         f"2^{args.budget_exponent}\n")
-        return EXIT_BUDGET
+        raise BudgetExceeded(f"character sums of {dual.size()} dual elements over 2^{args.m} "
+                             f"points = {terms} terms exceed budget 2^{args.budget_exponent}")
     _emit(_dual_lines(dual, net_points(g) if args.check else None), args.out)
     return EXIT_OK
 
@@ -327,9 +306,8 @@ def _rtable_rows(kmax: int, zeros: list[str]) -> Iterator[str]:
 
 def _cmd_rtable(args) -> int:
     if 2 * args.kmax > DEFAULT_POINT_BUDGET_EXPONENT:
-        sys.stderr.write(f"budget exceeded: rtable of 4^{args.kmax} = {4**args.kmax} lines "
-                         f"exceeds budget 2^{DEFAULT_POINT_BUDGET_EXPONENT}\n")
-        return EXIT_BUDGET
+        raise BudgetExceeded(f"rtable of 4^{args.kmax} = {4**args.kmax} lines "
+                             f"exceeds budget 2^{DEFAULT_POINT_BUDGET_EXPONENT}")
     zeros = [f",{l},0,1\n" for l in range(1 << args.kmax)]
     _emit(_rtable_rows(args.kmax, zeros), args.out)
     return EXIT_OK
@@ -342,6 +320,21 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+_SHARED_FLAGS = {  # flags that mean the same on every command that takes them
+    "--s": {"type": int},
+    "--alpha": {"type": int},
+    "--m": {"type": int},
+    "--out": {},
+    "--budget-exponent": {"type": int, "default": DEFAULT_POINT_BUDGET_EXPONENT,
+                          "help": "exit 3 beyond 2^E points"},  # dual has its own
+}
+
+
+def _shared(parser: argparse.ArgumentParser, *flags: str, required: bool = False) -> None:
+    for flag in flags:
+        parser.add_argument(flag, required=required, **_SHARED_FLAGS[flag])
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The command-line parser, built on first use and shared by every main call."""
@@ -349,68 +342,53 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate points of a net or corollary set")
-    gen.add_argument("--s", type=int, required=True)
-    gen.add_argument("--alpha", type=int, default=None)
-    gen.add_argument("--m", type=int, default=None)
+    _shared(gen, "--s", required=True)
+    _shared(gen, "--alpha", "--m")
     gen.add_argument("--count", type=int, default=None, help="corollary mode: N points")
     gen.add_argument("--shift", default=None, help="hex digits per coordinate, comma-separated")
     gen.add_argument("--format", choices=sorted(_FORMATTERS), default="dec")
-    gen.add_argument("--out", default=None)
-    gen.add_argument("--budget-exponent", type=int, default=DEFAULT_POINT_BUDGET_EXPONENT,
-                      help="exit 3 beyond 2^E points")
+    _shared(gen, "--out", "--budget-exponent")
     gen.set_defaults(func=_cmd_gen)
 
     disc = sub.add_parser("disc", help="L2 discrepancy of one point set")
     disc.add_argument("--in", dest="infile", default=None)
-    disc.add_argument("--s", type=int, default=None)
-    disc.add_argument("--alpha", type=int, default=None)
-    disc.add_argument("--m", type=int, default=None)
+    _shared(disc, "--s", "--alpha", "--m")
     disc.add_argument("--count", type=int, default=None)
     disc.add_argument("--format", choices=sorted(_FORMATTERS), default="dec")
     disc.add_argument("--exact", action="store_true")
-    disc.add_argument("--out", default=None)
-    disc.add_argument("--budget-exponent", type=int, default=DEFAULT_POINT_BUDGET_EXPONENT,
-                      help="exit 3 beyond 2^E points")
+    _shared(disc, "--out", "--budget-exponent")
     disc.set_defaults(func=_cmd_disc)
 
     scan = sub.add_parser("scan", help="prefix L2 scan as CSV")
-    scan.add_argument("--s", type=int, required=True)
-    scan.add_argument("--alpha", type=int, default=None)
+    _shared(scan, "--s", required=True)
+    _shared(scan, "--alpha")
     scan.add_argument("--nmax", type=int, required=True)
     scan.add_argument("--exact", action="store_true")
-    scan.add_argument("--out", default=None)
-    scan.add_argument("--budget-exponent", type=int, default=DEFAULT_POINT_BUDGET_EXPONENT,
-                      help="exit 3 beyond 2^E points")
+    _shared(scan, "--out", "--budget-exponent")
     scan.set_defaults(func=_cmd_scan)
 
     verify = sub.add_parser("verify", help="certify the order-alpha net property")
-    verify.add_argument("--s", type=int, required=True)
-    verify.add_argument("--alpha", type=int, required=True)
-    verify.add_argument("--m", type=int, required=True)
+    _shared(verify, "--s", "--alpha", "--m", required=True)
     verify.add_argument("--t", type=int, default=None)
     verify.add_argument("--budget", type=int, default=DEFAULT_PATTERN_BUDGET)
     verify.set_defaults(func=_cmd_verify)
 
     dual = sub.add_parser("dual", help="enumerate the dual net")
-    dual.add_argument("--s", type=int, required=True)
-    dual.add_argument("--alpha", type=int, required=True)
-    dual.add_argument("--m", type=int, required=True)
+    _shared(dual, "--s", "--alpha", "--m", required=True)
     dual.add_argument("--budget-exponent", type=int, default=DEFAULT_DUAL_EXPONENT,
                       help="exit 3 beyond 2^E dual elements or, with --check, 2^E points "
                            "or dual elements times points")
     dual.add_argument("--check", action="store_true", help="append character sums")
-    dual.add_argument("--out", default=None)
+    _shared(dual, "--out")
     dual.set_defaults(func=_cmd_dual)
 
     rtable = sub.add_parser("rtable", help="dump r(k,l) for k,l < 2^K as CSV, K <= 11")
     rtable.add_argument("--kmax", type=int, required=True)
-    rtable.add_argument("--out", default=None)
+    _shared(rtable, "--out")
     rtable.set_defaults(func=_cmd_rtable)
 
     export = sub.add_parser("export-matrices", help="write matrices + JSON sidecar")
-    export.add_argument("--s", type=int, required=True)
-    export.add_argument("--alpha", type=int, required=True)
-    export.add_argument("--m", type=int, required=True)
+    _shared(export, "--s", "--alpha", "--m", required=True)
     export.add_argument("--outdir", required=True)
     export.set_defaults(func=_cmd_export)
 
@@ -418,10 +396,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; every refusal and usage error becomes its exit code here."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (VerificationBudgetError, PointBudgetError) as exc:
+    except VerificationBudgetError as exc:  # a verdict, on stdout
+        print(f"unverified: {exc}")
+        return EXIT_BUDGET
+    except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -239,8 +239,7 @@ def sum_of_digits(n: int) -> int:
     return n.bit_count()
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     n: int
     l2: float
     s_of_n: int
@@ -305,13 +304,11 @@ def warnock_scan(
     exponent = (s - 1) / 2
     roth = l2 * np.array(counts, dtype=float) / [math.log(n) ** exponent for n in counts]
     proinov = roth / np.sqrt(np.array(digits, dtype=float))
-    rows = map(ScanRow, counts, l2.tolist(), digits, roth.tolist(), proinov.tolist())
-    return DiscrepancyReport(s=s, rows=list(rows))
+    rows = zip(counts, l2.tolist(), digits, roth.tolist(), proinov.tolist())
+    return DiscrepancyReport(s=s, rows=list(map(ScanRow._make, rows)))
 
 
-def walsh_series_l2(
-    points: Sequence[DyadicPoint], trunc: int, budget: int = SERIES_BUDGET
-) -> float:
+def walsh_series_l2(points: Sequence[DyadicPoint], trunc: int) -> float:
     """Truncated double Walsh series of the squared L2 discrepancy.
 
     Sums r(k, l) W(k) W(l), W(k) the mean of wal_k, exactly over all index
@@ -319,15 +316,15 @@ def walsh_series_l2(
     Walsh-Hadamard transform of the bit-reversed point histogram gives N W,
     and the r table scaled to integers acts along each axis (see
     docs/oracle_formulas.md, section 6).  Rejected with its cost estimate,
-    before any work, when its sparse products exceed the budget.
+    before any work, when its sparse products exceed SERIES_BUDGET.
     """
     cols, prec, s = _columns(points)
     if trunc < 0:
         raise ValueError("negative truncation")
     top = 1 << trunc
     estimate = s * (5 * top - 2 * trunc - 4) << (s - 1) * trunc
-    if estimate > budget:
-        raise ValueError(f"series cost {estimate} sparse products exceeds budget {budget}")
+    if estimate > SERIES_BUDGET:
+        raise ValueError(f"series cost {estimate} sparse products exceeds budget {SERIES_BUDGET}")
     cell = np.zeros(len(points), dtype=np.int64)
     for col in cols:
         cut = (col >> prec - trunc if prec >= trunc else col << trunc - prec).astype(np.int64)

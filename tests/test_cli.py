@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import tempfile
 from fractions import Fraction
 
@@ -113,7 +114,7 @@ def test_gen_shift_matches_the_pointwise_route(capsys, flags, shift, fmt):
     want = [digital_shift(pt, sigma) for pt in pts]
     assert out.endswith("\n")
     assert out.splitlines() == [
-        " ".join(FORMATTERS[fmt](c, q.precision) for c in q.coords) for q in want
+        " ".join(map(FORMATTERS[fmt](q.precision), q.coords)) for q in want
     ]
 
 
@@ -228,6 +229,55 @@ def test_disc_file_point_budget(tmp_path, capsys):
         code, out, err = run(capsys, "disc", "--in", str(pointfile), "--budget-exponent", exponent)
         assert code == EXIT_BUDGET and out == ""
         assert err == f"budget exceeded: 5 points in {pointfile} exceed budget 2^{exponent}\n"
+
+
+def test_disc_file_precision_cap(tmp_path, capsys):
+    # every coordinate is shifted to the file's largest precision, so a
+    # hexfrac p-50000000 (a dozen characters) is refused before any shift
+    def expire(signum, frame):
+        raise TimeoutError("no result within 5 s")
+
+    pointfile = tmp_path / "pts.txt"
+    pointfile.write_text("0x0p-1 0x0p-1\n0x1p-1024 0x1p-2\n")
+    code, out, _ = run(capsys, "disc", "--in", str(pointfile), "--format", "hexfrac")
+    assert code == EXIT_OK and float(out) > 0
+    for prec in (1025, 50_000_000):
+        pointfile.write_text(f"0x0p-1 0x0p-1\n0x1p-{prec} 0x1p-2\n")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            code, out, err = run(capsys, "disc", "--in", str(pointfile), "--format", "hexfrac")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == (f"budget exceeded: precision of {prec} bits in {pointfile} "
+                       f"exceeds cap 1024\n")
+
+
+@pytest.mark.parametrize("mode", [("--m", "4"), ("--count", "100")])
+def test_disc_generated_needs_s(capsys, mode):
+    code, out, err = run(capsys, "disc", *mode)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: need --s to generate points, or --in FILE\n"
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (("verify", "--s", "2", "--alpha", "1", "--m", "6", "--t", "0"), EXIT_OK,
+     "certified: order-1 quality t=0 (formula bound 0)\n"),
+    (("verify", "--s", "3", "--alpha", "1", "--m", "4", "--t", "0"), EXIT_VIOLATED,
+     "violated: dependent admissible rows (j=2,row=1) (j=3,row=3) (j=3,row=2) (j=3,row=1) "
+     "at t=0\n"),
+    (("verify", "--s", "3", "--alpha", "3", "--m", "8"), EXIT_OK,
+     "trivial: order-3 t=66 reaches alpha*m=24 (formula bound 66); nothing to search\n"),
+    (("verify", "--s", "2", "--alpha", "2", "--m", "6", "--t", "0", "--budget", "10"),
+     EXIT_BUDGET, "unverified: enumeration of 421 patterns exceeds budget 10\n"),
+    (("dual", "--s", "2", "--alpha", "2", "--m", "8", "--budget-exponent", "8"), EXIT_BUDGET,
+     "unverified: enumeration of 16777216 patterns exceeds budget 256\n"),
+])
+def test_verdict_lines_exact(capsys, argv, code, out):
+    # a verdict, "unverified" included, is one stdout line and nothing on stderr
+    assert run(capsys, *argv) == (code, out, "")
 
 
 def test_verify_certified_exit_zero(capsys):
@@ -367,11 +417,11 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_format_helpers_exact():
-    assert format_dec(5, 3) == "0.625"
-    assert format_dec(0, 7) == "0"
-    assert format_dec(1, 10) == "0.0009765625"
-    assert format_hexfrac(0xA8, 8) == "0xa8p-8"
-    assert format_bin(5, 4) == "0.0101"
+    assert format_dec(3)(5) == "0.625"
+    assert format_dec(7)(0) == "0"
+    assert format_dec(10)(1) == "0.0009765625"
+    assert format_hexfrac(8)(0xA8) == "0xa8p-8"
+    assert format_bin(4)(5) == "0.0101"
     assert parse_coordinate("0.625", "dec") == (5, 3)
     assert parse_coordinate("0xa8p-8", "hexfrac") == (0xA8, 8)
     assert parse_coordinate("0.0101", "bin") == (5, 4)
@@ -411,7 +461,7 @@ _FLOAT_REPRS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 @given(st.one_of(
     st.tuples(st.sampled_from(sorted(FORMATTERS)), st.integers(0, 90)).flatmap(
-        lambda fp: st.integers(0, (1 << fp[1]) - 1).map(lambda n: FORMATTERS[fp[0]](n, fp[1]))),
+        lambda fp: st.integers(0, (1 << fp[1]) - 1).map(FORMATTERS[fp[0]](fp[1]))),
     _FLOAT_REPRS,
     _FLOAT_REPRS.map(lambda r: r.upper()),
     st.integers(0, (1 << 24) - 1).map(lambda j: repr(j * 2.0**-24)),
@@ -442,13 +492,13 @@ def _write_points(text):
 
 
 def _point_text(rows, prec, fmt):
-    return "".join(" ".join(FORMATTERS[fmt](c, prec) for c in row) + "\n" for row in rows)
+    return "".join(" ".join(map(FORMATTERS[fmt](prec), row)) + "\n" for row in rows)
 
 
 @given(st.sampled_from(sorted(FORMATTERS)), st.integers(0, 90), st.data())
 def test_coordinate_formats_round_trip(fmt, prec, data):
     num = data.draw(st.integers(0, (1 << prec) - 1))
-    got_num, got_prec = parse_coordinate(FORMATTERS[fmt](num, prec), fmt)
+    got_num, got_prec = parse_coordinate(FORMATTERS[fmt](prec)(num), fmt)
     assert Fraction(got_num, 1 << got_prec) == Fraction(num, 1 << prec)
     if fmt != "dec":  # dec prints the shortest expansion, so only the value is kept
         assert (got_num, got_prec) == (num, prec)
@@ -507,7 +557,7 @@ def _malformed_point_files(draw):
         ("dec", "sign"), ("hexfrac", "sign"), ("bin", "sign"),
     ]))
     rows, prec = draw(_point_rows())
-    lines = [[FORMATTERS[fmt](c, prec) for c in row] for row in rows]
+    lines = [list(map(FORMATTERS[fmt](prec), row)) for row in rows]
     i = draw(st.integers(0, len(lines) - 1))
     j = draw(st.integers(0, len(lines[i]) - 1))
     if kind == "ragged":
@@ -515,7 +565,7 @@ def _malformed_point_files(draw):
         if len(lines[i]) > 1 and draw(st.booleans()):
             del lines[i][j]
         else:
-            lines[i].insert(j, FORMATTERS[fmt](0, prec))
+            lines[i].insert(j, FORMATTERS[fmt](prec)(0))
     elif kind == "non-dyadic":
         den = draw(st.integers(1, 1 << 20)) * draw(st.sampled_from([3, 5, 7, 9, 11, 25]))
         value = Fraction(draw(st.integers(0, den - 1)), den)

@@ -416,12 +416,13 @@ def test_series_dual_terms_carry_everything():
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
-def test_series_converges_to_warnock_at_s3(alpha):
+def test_series_converges_to_warnock_at_s3(monkeypatch, alpha):
     # the series only converges to Warnock; the cell-contraction oracle gives
     # the same value exactly at s = 3 (test_quadrature_equals_exact_warnock)
+    monkeypatch.setattr(hodisc.discrepancy, "SERIES_BUDGET", 10**7)
     pts = net_points(sequence_net(3, alpha, 3))
     target = float(warnock_l2_sq(pts, exact=True))
-    errors = [abs(walsh_series_l2(pts, k, budget=10**7) - target) for k in range(2, 7)]
+    errors = [abs(walsh_series_l2(pts, k) - target) for k in range(2, 7)]
     for earlier, later in zip(errors, errors[1:]):
         assert later < earlier
 
