@@ -26,6 +26,7 @@ from .netverify import (
     find_dependency,
 )
 from .points import (
+    COROLLARY_PRECISION,
     DyadicPoint,
     _corollary_columns,
     _net_columns,
@@ -43,7 +44,7 @@ EXIT_USAGE = 64
 DEFAULT_SEQUENCE_ALPHA = 5  # sequence mode of gen, disc and scan
 DEFAULT_POINT_BUDGET_EXPONENT = 22  # at most 2^22 points (gen, disc, scan) or lines (rtable)
 GEN_BLOCK_ROWS = 1 << 16  # gen formats and writes its lines this many at a time
-MAX_FILE_PRECISION = 1024  # bits per coordinate that disc --in reads, 8x a corollary set's
+MAX_FILE_PRECISION = 1024  # bits per coordinate that gen writes and disc --in reads
 
 
 class BudgetExceeded(Exception):
@@ -77,55 +78,46 @@ def format_bin(prec: int) -> Callable[[int], str]:
 
 
 _FORMATTERS = {"dec": format_dec, "hexfrac": format_hexfrac, "bin": format_bin}
-_SIGNS = {"+", "-"}
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_DECIMAL = re.compile(r"([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")  # digits, point, exponent
+_HEX = re.compile("[0-9a-fA-F]+")  # a hexfrac numerator or a --shift group
+_GRAMMARS = {  # each token is fullmatched, so int() only ever sees ASCII digits
+    "hexfrac": re.compile(rf"0x({_HEX.pattern})p-([0-9]+)"),
+    "bin": re.compile(r"0(?:\.([01]*))?"),
+    "dec": re.compile(r"(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"),
+}
 
 
 def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
     """(numerator, precision) of one coordinate in the given text format.
 
-    No formatter writes a `_` digit separator or a sign, so neither is
-    read, though `int` and `Fraction` would take both.  A dec value is
-    ASCII digits with an optional point and an optional signed exponent
+    Each format is one grammar of ASCII characters, matched whole: no
+    sign, no `_` and no digit that the formatters do not write.  A dec
+    value has an optional point and an optional signed exponent
     (`9.5367431640625e-07`, as float repr writes it): its digits D over
-    10^k are dyadic exactly when 5^k divides D, and the precision returned
-    is the least that holds the value.
+    10^k are dyadic exactly when 5^k divides D, which a nonzero D of no
+    more than k*log10(5) digits cannot, so that is decided before any
+    power is built.  The precision returned for dec is the least that
+    holds the value.
     """
-    text = text.strip()
-    if "_" in text:
-        raise ValueError(f"digit separator in {text!r}")
+    match = _GRAMMARS[fmt].fullmatch(text.strip())
+    if not match:
+        raise ValueError(f"bad {fmt} value {text!r}")
     if fmt == "hexfrac":
-        body, _, exp = text.partition("p-")
-        if not body.startswith("0x") or not exp or _SIGNS & set(body + exp):
-            raise ValueError(f"bad hexfrac value {text!r}")
-        return int(body, 16), int(exp)
+        return int(match[1], 16), int(match[2])
     if fmt == "bin":
-        if text == "0":
-            return 0, 0
-        frac = text[2:]
-        if not text.startswith("0.") or _SIGNS & set(frac):
-            raise ValueError(f"bad binary value {text!r}")
+        frac = match[1] or ""
         return int(frac, 2) if frac else 0, len(frac)
-    if text.startswith(("+", "-")):
-        raise ValueError(f"signed coordinate {text!r}")
-    match = _DECIMAL.fullmatch(text)
-    if not match or not (match[1] or match[2]):
-        raise ValueError(f"bad decimal value {text!r}")
-    frac = match[2] or ""
-    num, k = int(match[1] + frac), len(frac) - int(match[3] or 0)  # num / 10^k
-    if k <= 0:
-        if num:
-            raise ValueError(f"coordinate {text!r} outside [0,1)")
+    whole, frac, exp = match.groups(default="")
+    digits = (whole + frac).lstrip("0")
+    k = len(frac) - int(exp) if exp else len(frac)  # the value is D / 10^k
+    if not digits:
         return 0, 0
-    ten = 10**k
-    if num >= ten:
+    if len(digits) > k:
         raise ValueError(f"coordinate {text!r} outside [0,1)")
-    num, rest = divmod(num, ten >> k)  # num / 10^k = (num / 5^k) / 2^k
+    if 100000 * len(digits) <= 69897 * k:  # D < 10^len(D) <= 5^k, as log10(5) > 0.69897
+        raise ValueError(f"coordinate {text!r} is not dyadic")
+    num, rest = divmod(int(digits), 5**k)  # D / 10^k = (D / 5^k) / 2^k
     if rest:
         raise ValueError(f"coordinate {text!r} is not dyadic")
-    if not num:
-        return 0, 0
     zeros = (num & -num).bit_length() - 1
     return num >> zeros, k - zeros
 
@@ -160,20 +152,16 @@ def _emit(text: Iterable[str], out_path: str | None) -> None:
 
 def _parse_shift(text: str, s: int) -> DyadicPoint:
     """The shift of s comma-separated groups of hex digits, each left-aligned
-    at 4 bits per digit of the longest group.  A group is digits only: int()
-    would also take a sign, a `0x` prefix or a `_`, which would move the
-    digits, since the group's length sets their place."""
+    at 4 bits per digit of the longest group.  A group is ASCII hex digits
+    only, as in hexfrac: the group's length sets their place."""
     parts = text.split(",")
     if len(parts) != s:
         raise ValueError(f"shift needs {s} comma-separated hex groups")
     for p in parts:
-        if not p or not set(p) <= _HEX_DIGITS:
+        if not _HEX.fullmatch(p):
             raise ValueError(f"bad shift group {p!r}: hex digits 0-9a-fA-F only")
-    nums = []
     prec = 4 * max(len(p) for p in parts)
-    for p in parts:
-        nums.append(int(p, 16) << (prec - 4 * len(p)))
-    return DyadicPoint(tuple(nums), prec)
+    return DyadicPoint(tuple(int(p, 16) << (prec - 4 * len(p)) for p in parts), prec)
 
 
 def _check_points(points: str, log2_points: int, budget_exponent: int) -> None:
@@ -182,10 +170,14 @@ def _check_points(points: str, log2_points: int, budget_exponent: int) -> None:
         raise BudgetExceeded(f"generation of {points} points exceeds budget 2^{budget_exponent}")
 
 
+def _alpha(args) -> int:
+    """The order of the sequence of gen, disc or scan."""
+    return DEFAULT_SEQUENCE_ALPHA if args.alpha is None else args.alpha
+
+
 def _sequence(args, m: int) -> GeneratingMatrixSet:
     """The net of the first 2^m points of the sequence of gen, disc or scan."""
-    alpha = DEFAULT_SEQUENCE_ALPHA if args.alpha is None else args.alpha
-    return sequence_net(args.s, alpha, m)
+    return sequence_net(args.s, _alpha(args), m)
 
 
 def _generated_net(args) -> GeneratingMatrixSet | None:
@@ -206,13 +198,19 @@ def _generated_net(args) -> GeneratingMatrixSet | None:
 
 
 def _cmd_gen(args) -> int:
+    shift = None if args.shift is None else _parse_shift(args.shift, args.s)
+    # the output precision: the depth (at most 128 for a corollary set) or the shift's
+    depth = COROLLARY_PRECISION if args.count is not None else _alpha(args) * (args.m or 0)
+    bits = max(depth, shift.precision if shift else 0)
+    if bits > MAX_FILE_PRECISION:  # disc --in would refuse the file
+        raise BudgetExceeded(f"output precision of {bits} bits exceeds cap {MAX_FILE_PRECISION}")
     g = _generated_net(args)
     if g is None:
         cols, prec = _corollary_columns(args.s, args.count)
     else:
         cols, prec = _net_columns(g, 1 << g.width), g.depth
-    if args.shift is not None:
-        cols, prec = _shift_columns(cols, prec, _parse_shift(args.shift, args.s))
+    if shift is not None:
+        cols, prec = _shift_columns(cols, prec, shift)
     _emit(_gen_blocks(cols, _FORMATTERS[args.format](prec)), args.out)
     return EXIT_OK
 

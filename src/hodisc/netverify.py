@@ -199,8 +199,8 @@ def box_counts(
         raise ValueError("one exponent per coordinate required")
     if any(dj < 0 for dj in d):
         raise ValueError("negative box exponent")
-    if sum(d) > 30:
-        raise ValueError("box family too large to materialise")
+    if sum(d) > 22:  # the CLI's point budget: 2^22 boxes take ~0.4 GB as a dict
+        raise ValueError(f"2^{sum(d)} boxes exceed budget 2^22")
     counts: dict[tuple[int, ...], int] = {
         box: 0 for box in product(*(range(1 << dj) for dj in d))
     }

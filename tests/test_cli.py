@@ -233,26 +233,63 @@ def test_disc_file_point_budget(tmp_path, capsys):
 
 def test_disc_file_precision_cap(tmp_path, capsys):
     # every coordinate is shifted to the file's largest precision, so a
-    # hexfrac p-50000000 (a dozen characters) is refused before any shift
+    # hexfrac p-50000000 (a dozen characters) is refused before any shift;
+    # a dec exponent as large is decided from digit counts, before 10^k is built
     def expire(signum, frame):
         raise TimeoutError("no result within 5 s")
+
+    def disc_within_5s(text, fmt):
+        pointfile.write_text(text)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            return run(capsys, "disc", "--in", str(pointfile), "--format", fmt)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     pointfile = tmp_path / "pts.txt"
     pointfile.write_text("0x0p-1 0x0p-1\n0x1p-1024 0x1p-2\n")
     code, out, _ = run(capsys, "disc", "--in", str(pointfile), "--format", "hexfrac")
     assert code == EXIT_OK and float(out) > 0
     for prec in (1025, 50_000_000):
-        pointfile.write_text(f"0x0p-1 0x0p-1\n0x1p-{prec} 0x1p-2\n")
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(5)
-        try:
-            code, out, err = run(capsys, "disc", "--in", str(pointfile), "--format", "hexfrac")
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        code, out, err = disc_within_5s(f"0x0p-1 0x0p-1\n0x1p-{prec} 0x1p-2\n", "hexfrac")
         assert (code, out) == (EXIT_BUDGET, "")
         assert err == (f"budget exceeded: precision of {prec} bits in {pointfile} "
                        f"exceeds cap 1024\n")
+    code, out, err = disc_within_5s("1e-50000000 0.5\n0.5 0.5\n", "dec")
+    assert (code, out) == (EXIT_USAGE, "") and "not dyadic" in err
+    assert disc_within_5s("0e-50000000 0.5\n0.5 0.5\n", "dec") == disc_within_5s(
+        "0 0.5\n0.5 0.5\n", "dec")
+    code, out, err = disc_within_5s(f"0 0\n{format_dec(1025)(1)} 0.5\n", "dec")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == f"budget exceeded: precision of 1025 bits in {pointfile} exceeds cap 1024\n"
+
+
+@pytest.mark.parametrize("flags,bits", [
+    (("--s", "1", "--alpha", "1", "--m", "2", "--shift", "f" * 257), 1028),
+    (("--s", "2", "--count", "5", "--shift", "1," + "f" * 300), 1200),
+    (("--s", "1", "--alpha", "103", "--m", "10"), 1030),
+    (("--s", "1", "--alpha", "1000000", "--m", "1"), 1000000),
+])
+def test_gen_output_precision_cap(capsys, flags, bits):
+    # disc --in refuses a file beyond 1024 bits, so gen refuses to write one
+    # before it builds anything (here a net of dimension up to 10^6)
+    for fmt in sorted(FORMATTERS):
+        code, out, err = run(capsys, "gen", *flags, "--format", fmt)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == f"budget exceeded: output precision of {bits} bits exceeds cap 1024\n"
+
+
+def test_gen_at_the_precision_cap_reads_back(tmp_path, capsys):
+    target = tmp_path / "pts.txt"
+    for fmt in sorted(FORMATTERS):
+        code, _, _ = run(capsys, "gen", "--s", "1", "--alpha", "1", "--m", "2",
+                         "--shift", "f" * 256, "--format", fmt, "--out", str(target))
+        assert code == EXIT_OK
+        points = read_point_file(str(target), fmt)
+        assert [pt.precision for pt in points] == [1024] * 4
+        assert points[0].coords == ((1 << 1024) - 1,)
 
 
 @pytest.mark.parametrize("mode", [("--m", "4"), ("--count", "100")])
@@ -545,16 +582,31 @@ def _signed(draw, token, fmt):
     return sign + token
 
 
+def _non_ascii(draw, token, fmt):
+    """token with one ASCII digit after its `0x` or `0.` prefix (anywhere in
+    dec) replaced by a non-ASCII digit of the same value, which int() would
+    read as the same value."""
+    if fmt == "bin" and token == "0":
+        token = "0.0"
+    spots = [k for k in range(0 if fmt == "dec" else 2, len(token)) if token[k] in _DIGITS["dec"]]
+    k = draw(st.sampled_from(spots))
+    parse_coordinate(token, fmt)  # the defect alone makes the token invalid
+    # the zeros of the Arabic-Indic, Extended Arabic-Indic, Devanagari and fullwidth digits
+    zero = draw(st.sampled_from("\u0660\u06f0\u0966\uff10"))
+    return token[:k] + chr(ord(zero) + int(token[k])) + token[k + 1:]
+
+
 @st.composite
 def _malformed_point_files(draw):
     """A valid point file with one defect: a ragged row, a non-dyadic dec
     value, a hexfrac numerator of 2^prec or more, a negative precision, a
-    `_` digit separator or a sign."""
+    `_` digit separator, a sign or a non-ASCII digit."""
     fmt, kind = draw(st.sampled_from([
         ("dec", "ragged"), ("hexfrac", "ragged"), ("bin", "ragged"),
         ("dec", "non-dyadic"), ("hexfrac", "too-large"), ("hexfrac", "negative-precision"),
         ("dec", "separator"), ("hexfrac", "separator"), ("bin", "separator"),
         ("dec", "sign"), ("hexfrac", "sign"), ("bin", "sign"),
+        ("dec", "non-ascii-digit"), ("hexfrac", "non-ascii-digit"), ("bin", "non-ascii-digit"),
     ]))
     rows, prec = draw(_point_rows())
     lines = [list(map(FORMATTERS[fmt](prec), row)) for row in rows]
@@ -579,6 +631,8 @@ def _malformed_point_files(draw):
         lines[i][j] = f"0x{draw(st.integers(0, 255)):x}p--{draw(st.integers(1, 70))}"
     elif kind == "separator":
         lines[i][j] = _separated(draw, lines[i][j], fmt)
+    elif kind == "non-ascii-digit":
+        lines[i][j] = _non_ascii(draw, lines[i][j], fmt)
     else:
         lines[i][j] = _signed(draw, lines[i][j], fmt)
     return fmt, "".join(" ".join(ln) + "\n" for ln in lines)

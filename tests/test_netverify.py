@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,22 @@ def test_box_counts_validates_shape():
         box_counts(pts, (1,))
     with pytest.raises(ValueError):
         box_counts(pts, (1, -1))
+
+
+def test_box_counts_refuses_2_to_the_23_boxes_before_building_them():
+    # the dict of every box would hold ~0.8 GB; the refusal comes first
+    def expire(signum, frame):
+        raise TimeoutError("no refusal within 5 s")
+
+    pts = net_points(sequence_net(2, 6, 2))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match=r"2\^23 boxes exceed budget 2\^22"):
+            box_counts(pts, (12, 11))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_j_box_half_interval():
