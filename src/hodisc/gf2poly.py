@@ -120,12 +120,22 @@ _primitive_by_degree: dict[int, list[Gf2Poly]] = {}
 MAX_SCAN_DEGREE = 16
 
 
+def _primitive_count(e: int) -> int:
+    """Primitive polynomials of degree e, phi(2^e - 1) / e; 1 at e = 1 (x + 1)."""
+    group = phi = (1 << e) - 1
+    for q in _prime_factors(group):
+        phi -= phi // q
+    return phi // e
+
+
+# x and every primitive polynomial up to the scan cap: 5715
+_MAX_GENERATORS = 1 + sum(_primitive_count(e) for e in range(1, MAX_SCAN_DEGREE + 1))
+
+
 def _primitives_of_degree(e: int) -> list[Gf2Poly]:
     got = _primitive_by_degree.get(e)
     if got is not None:
         return got
-    if e > MAX_SCAN_DEGREE:
-        raise ValueError(f"primitive-polynomial scan capped at degree {MAX_SCAN_DEGREE}")
     found = []
     # constant term 1 keeps x itself out of the scan; every irreducible of
     # degree >= 2 has it anyway
@@ -142,6 +152,8 @@ def primitive_polys(count: int) -> list[Gf2Poly]:
     sorted by ascending degree, ties broken by ascending bitmask."""
     if count < 1:
         raise ValueError("count must be positive")
+    if count > _MAX_GENERATORS:  # refused before any scan
+        raise ValueError(f"primitive-polynomial scan capped at degree {MAX_SCAN_DEGREE}")
     out = [X]
     e = 1
     while len(out) < count:

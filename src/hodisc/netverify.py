@@ -38,6 +38,10 @@ class VerificationBudgetError(Exception):
         self.budget = budget
 
 
+class _Dependent(Exception):
+    """Ends the row search: args[0] is the dependent selection."""
+
+
 def _selection_pattern_count(p: int, alpha: int, cap: int, s: int) -> int:
     """Number of admissible counted-row patterns across s coordinates.
 
@@ -83,11 +87,26 @@ def find_dependency(
 ) -> list[tuple[int, int]] | None:
     """Witness of a violated order-alpha independence condition, or None.
 
-    A witness is a list of (coordinate, row) pairs, rows 1-based, whose row
-    vectors are linearly dependent while the sum over coordinates of their
-    alpha largest rows is at most alpha*m - t.  Only maximal selections are
-    walked: rows below the alpha chosen ones are weight-free, and adding
-    them can only expose more dependencies.
+    A witness is a list of (coordinate, row) pairs, rows 1-based, sorted by
+    coordinate ascending and row descending, whose row vectors are linearly
+    dependent while the sum over coordinates of their alpha largest rows is
+    at most alpha*m - t.
+
+    Per coordinate a selection is a strictly decreasing tuple of at most
+    alpha counted rows; a full tuple also holds every row below its
+    alpha-th, which costs no weight.  A set holding a dependent set is
+    dependent, so only selections that no other admissible one contains
+    need a test, and the verdict is that of the full enumeration.  Rows are
+    eliminated one at a time as they are pushed, so every subset pushed on
+    the way is tested too.  Earlier coordinates walk every tuple, a full
+    tuple's free prefix growing by one row as its alpha-th row rises.  The
+    last coordinate, with budget r left after the counted rows before its
+    (alpha-1)-th row u, tests only: u above r/2 with the prefix {1..r-u}
+    (one prefix, growing as u falls, serves them all), and the prefix
+    {1..min(u_max, r//2)}, u_max the largest u allowed, which holds every
+    selection with u at or below r/2; at alpha = 1 the prefix {1..r}.
+    The budget counts every admissible pattern, an upper bound on the
+    selections tested.
     """
     m, p, s = g.width, g.depth, g.s
     if not 0 <= t <= alpha * m:
@@ -98,59 +117,78 @@ def find_dependency(
         raise VerificationBudgetError(estimate, budget)
     rowdata = [mat.data for mat in g.matrices]
     pivots: dict[int, int] = {}
-    selection: list[tuple[int, int]] = []
+    held: list[tuple[int, int, int]] = []  # (coordinate, row, pivot bit), pushed order
+    last = s - 1
 
-    def add_row(mask: int) -> int | None:
+    def push(j: int, i: int) -> None:
+        """Eliminate row i of coordinate j against the rows held."""
+        mask = rowdata[j][i - 1]
         while mask:
             top = mask.bit_length() - 1
             other = pivots.get(top)
             if other is None:
                 pivots[top] = mask
-                return top
+                held.append((j, i, top))
+                return
             mask ^= other
-        return None
+        raise _Dependent([(hj, hi) for hj, hi, _ in held] + [(j, i)])
 
-    def explore_coord(j: int, weight: int) -> list[tuple[int, int]] | None:
-        if j == s:
-            return None
-        hit = explore_coord(j + 1, weight)  # empty tuple for coordinate j
-        if hit:
-            return hit
-        return extend_tuple(j, weight, 0, min(p, cap - weight) + 1)
+    def pop(count: int) -> None:
+        for _ in range(count):
+            del pivots[held.pop()[2]]
 
-    def extend_tuple(j: int, weight: int, length: int, upper: int):
-        rows = rowdata[j]
-        for i in range(min(upper - 1, cap - weight), 0, -1):
-            piv = add_row(rows[i - 1])
-            selection.append((j, i))
-            if piv is None:
-                return list(selection)
-            hit = None
-            if length + 1 == alpha:
-                free_pivots = []
-                for fr in range(i - 1, 0, -1):
-                    fp = add_row(rows[fr - 1])
-                    selection.append((j, fr))
-                    if fp is None:
-                        return list(selection)
-                    free_pivots.append(fp)
-                hit = explore_coord(j + 1, weight + i)
-                if hit:
-                    return hit
-                for fp in free_pivots:
-                    del pivots[fp]
-                    selection.pop()
-            else:
-                hit = explore_coord(j + 1, weight + i)
-                if not hit:
-                    hit = extend_tuple(j, weight + i, length + 1, i)
-                if hit:
-                    return hit
-            del pivots[piv]
-            selection.pop()
-        return None
+    def coordinate(j: int, weight: int) -> None:
+        if j == last:
+            close(weight, 0, p + 1)
+        else:
+            coordinate(j + 1, weight)  # empty tuple for coordinate j
+            counted(j, weight, 0, p + 1)
 
-    return explore_coord(0, 0)
+    def counted(j: int, weight: int, length: int, upper: int) -> None:
+        """Tuples of an earlier coordinate j, counted rows below ``upper``."""
+        top = min(upper - 1, cap - weight)
+        if length + 1 == alpha:  # alpha-th row i: the selection gains {1..i}
+            for i in range(1, top + 1):
+                push(j, i)
+                coordinate(j + 1, weight + i)
+            pop(top)
+            return
+        for i in range(top, 0, -1):
+            push(j, i)
+            coordinate(j + 1, weight + i)
+            counted(j, weight + i, length + 1, i)
+            pop(1)
+
+    def close(weight: int, length: int, upper: int) -> None:
+        """Tuples of the last coordinate that no admissible one contains."""
+        r = cap - weight
+        u_max = min(upper - 1, r)
+        if length + 2 < alpha:
+            for i in range(u_max, 0, -1):
+                push(last, i)
+                close(weight + i, length + 1, i)
+                pop(1)
+            return
+        # u is the (alpha-1)-th counted row; at alpha = 1 the only selection
+        # is the prefix, so no u is walked
+        half = r // 2 if alpha > 1 else r
+        prefix = 0
+        for u in range(u_max, half, -1):
+            while prefix < r - u:
+                prefix += 1
+                push(last, prefix)
+            push(last, u)
+            pop(1)
+        while prefix < min(u_max, half):
+            prefix += 1
+            push(last, prefix)
+        pop(prefix)
+
+    try:
+        coordinate(0, 0)
+    except _Dependent as found:
+        return sorted(found.args[0], key=lambda ji: (ji[0], -ji[1]))
+    return None
 
 
 def verify_order_alpha(
@@ -201,16 +239,13 @@ def box_counts(
         raise ValueError("negative box exponent")
     if sum(d) > 22:  # the CLI's point budget: 2^22 boxes take ~0.4 GB as a dict
         raise ValueError(f"2^{sum(d)} boxes exceed budget 2^22")
+    if max(d, default=0) > min(pt.precision for pt in points):
+        raise ValueError("box finer than the point precision")
     counts: dict[tuple[int, ...], int] = {
         box: 0 for box in product(*(range(1 << dj) for dj in d))
     }
     for pt in points:
-        key = []
-        for j, dj in enumerate(d):
-            if dj > pt.precision:
-                raise ValueError("box finer than the point precision")
-            key.append(pt.coords[j] >> (pt.precision - dj))
-        counts[tuple(key)] += 1
+        counts[tuple(c >> (pt.precision - dj) for c, dj in zip(pt.coords, d))] += 1
     return counts
 
 

@@ -281,6 +281,28 @@ def test_gen_output_precision_cap(capsys, flags, bits):
         assert err == f"budget exceeded: output precision of {bits} bits exceeds cap 1024\n"
 
 
+@pytest.mark.parametrize("command", [
+    ("verify", "--m", "1"), ("dual", "--m", "1"), ("disc", "--m", "1"),
+    ("scan", "--nmax", "2"), ("export-matrices", "--m", "1", "--outdir"),
+])
+def test_generator_cap_refused_before_the_scan(tmp_path, capsys, command):
+    # dimension 10^5 needs polynomials beyond the degree-16 scan cap; the
+    # refusal comes from their count, before a scan that takes seconds
+    def expire(signum, frame):
+        raise TimeoutError("no refusal within 1 s")
+
+    argv = command + ((str(tmp_path),) if command[-1] == "--outdir" else ())
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        code, out, err = run(capsys, *argv, "--s", "1", "--alpha", "100000")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: primitive-polynomial scan capped at degree 16\n"
+
+
 def test_gen_at_the_precision_cap_reads_back(tmp_path, capsys):
     target = tmp_path / "pts.txt"
     for fmt in sorted(FORMATTERS):

@@ -1,8 +1,13 @@
+import signal
+
 import pytest
 
 from hodisc.gf2poly import (
     Gf2Poly,
     X,
+    _MAX_GENERATORS,
+    _primitive_count,
+    _primitives_of_degree,
     is_primitive,
     laurent_expand,
     poly_mul,
@@ -89,6 +94,28 @@ def test_primitive_polys_stable_and_primitive():
     assert degrees == sorted(degrees[:1] + degrees[1:])  # ascending after p_1
     for p in a[1:]:
         assert is_primitive(p)
+
+
+def test_primitive_polys_refuses_beyond_the_degree_cap_before_scanning():
+    # 1 + sum over e <= 16 of phi(2^e - 1)/e generators exist below the cap;
+    # one more is refused from that count, not after scanning degree 16
+    def expire(signum, frame):
+        raise TimeoutError("no refusal within 1 s")
+
+    assert _MAX_GENERATORS == 5715
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ValueError, match="primitive-polynomial scan capped at degree 16"):
+            primitive_polys(5716)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_primitive_count_is_the_scan_length():
+    for e in range(1, 11):
+        assert _primitive_count(e) == len(_primitives_of_degree(e)), e
 
 
 def test_primitive_count_per_degree():

@@ -4,13 +4,14 @@ import itertools
 import math
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hodisc.genmat import GeneratingMatrixSet, sequence_net, t_reduced
-from hodisc.gf2 import BitMatrix, xor_rows
+from hodisc.gf2 import BitMatrix, rank, xor_rows
 from hodisc.netverify import (
     JAlphaBox,
     VerificationBudgetError,
@@ -44,8 +45,6 @@ def test_three_dims_need_t1():
     assert witness is not None
     assert verify_order_alpha(g, 1, 1)
     # the witness rows really are linearly dependent
-    from hodisc.gf2 import BitMatrix, rank
-
     masks = [g.matrices[j].data[row - 1] for j, row in witness]
     assert rank(BitMatrix.from_rows(masks, g.width)) < len(masks)
 
@@ -104,6 +103,81 @@ def test_pattern_budget_is_the_exact_estimate():
     assert (info.value.estimate, info.value.budget) == (want, want - 1)
 
 
+def _order_alpha_weight(rows, alpha):
+    """Sum over coordinates of the alpha largest rows taken there."""
+    per_coord = {}
+    for j, i in rows:
+        per_coord.setdefault(j, []).append(i)
+    return sum(sum(sorted(got, reverse=True)[:alpha]) for got in per_coord.values())
+
+
+def _oracle_least_weight(g, alpha):
+    """Least order-alpha weight of a dependent set of rows, over all subsets
+    of the s*depth rows (math.inf if there is none).
+
+    A dependent set holds a nonempty subset whose rows XOR to zero, and
+    dropping rows never raises the weight, so the least weight is taken
+    over the zero-XOR subsets.  Each subset's XOR is built from the subset
+    without its lowest member; bit j*depth + i - 1 stands for row i of
+    coordinate j."""
+    d = g.depth
+    masks = [row for mat in g.matrices for row in mat.data]
+    xor = [0] * (1 << len(masks))
+    least = math.inf
+    for subset in range(1, len(xor)):
+        low = (subset & -subset).bit_length() - 1
+        xor[subset] = xor[subset & (subset - 1)] ^ masks[low]
+        if xor[subset]:
+            continue
+        weight = 0
+        for j in range(g.s):
+            block = subset >> (j * d) & ((1 << d) - 1)
+            for _ in range(alpha):  # the alpha largest rows, from the top bit
+                if not block:
+                    break
+                weight += block.bit_length()
+                block ^= 1 << (block.bit_length() - 1)
+        least = min(least, weight)
+    return least
+
+
+@st.composite
+def _small_matrix_sets(draw):
+    """Matrix sets with at most 12 rows in all, sparse and dense, and any t."""
+    s = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 12 // s))
+    m = draw(st.integers(1, 8))
+    alpha = draw(st.integers(1, 4))
+    dense = st.integers(0, (1 << m) - 1)
+    sparse = st.sampled_from([0] + [1 << c for c in range(m)])
+    row = dense if draw(st.booleans()) else st.one_of(sparse, dense)
+    mats = tuple(BitMatrix.from_rows(draw(st.lists(row, min_size=depth, max_size=depth)), m)
+                 for _ in range(s))
+    return GeneratingMatrixSet(s, depth, m, mats, alpha, None), alpha, draw(st.integers(0, alpha * m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrix_sets())
+def test_find_dependency_agrees_with_the_subset_oracle(case):
+    g, alpha, t = case
+    top = alpha * g.width
+    least = _oracle_least_weight(g, alpha)
+    # the drawn t and, when in range, both sides of the verdict's edge
+    edge = {t} if least == math.inf else {t, top - least, top - least + 1}
+    for t in sorted(edge & set(range(top + 1))):
+        witness = find_dependency(g, alpha, t)
+        assert (witness is not None) == (least <= top - t), t
+        if witness is None:
+            continue
+        # the witness, checked from scratch
+        assert all(0 <= j < g.s and 1 <= i <= g.depth for j, i in witness)
+        assert len(set(witness)) == len(witness)
+        assert witness == sorted(witness, key=lambda ji: (ji[0], -ji[1]))
+        assert _order_alpha_weight(witness, alpha) <= top - t
+        masks = [g.matrices[j].data[i - 1] for j, i in witness]
+        assert rank(BitMatrix.from_rows(masks, g.width)) < len(masks)
+
+
 def test_order_reduction_consistency():
     # certified at (alpha, t) implies certified at (alpha', ceil(t a'/a))
     g = sequence_net(1, 2, 5)
@@ -142,6 +216,20 @@ def test_box_counts_validates_shape():
         box_counts(pts, (1,))
     with pytest.raises(ValueError):
         box_counts(pts, (1, -1))
+
+
+def test_box_counts_checks_the_precision_before_building_boxes():
+    # 2^22 boxes at depth 11 against 4-bit points: refused before the
+    # ~0.4 GB dict of boxes is built
+    pts = net_points(sequence_net(2, 1, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="box finer than the point precision"):
+            box_counts(pts, (11, 11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_box_counts_refuses_2_to_the_23_boxes_before_building_them():
