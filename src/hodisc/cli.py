@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .discrepancy import warnock_l2, warnock_scan
-from .genmat import GeneratingMatrixSet, sequence_net, write_matrix_files
+import numpy as np
+
+from .discrepancy import _scan, _warnock_sq
+from .genmat import GeneratingMatrixSet, _sequence_bound, sequence_net, write_matrix_files
 from .netverify import (
     DEFAULT_DUAL_EXPONENT,
     DEFAULT_PATTERN_BUDGET,
@@ -27,11 +30,12 @@ from .netverify import (
 )
 from .points import (
     COROLLARY_PRECISION,
+    BudgetExceeded,
     DyadicPoint,
     _corollary_columns,
     _net_columns,
+    _points,
     _shift_columns,
-    corollary_pointset,
     net_points,
 )
 from .walsh import _r_table, mu_vec
@@ -45,10 +49,6 @@ DEFAULT_SEQUENCE_ALPHA = 5  # sequence mode of gen, disc and scan
 DEFAULT_POINT_BUDGET_EXPONENT = 22  # at most 2^22 points (gen, disc, scan) or lines (rtable)
 GEN_BLOCK_ROWS = 1 << 16  # gen formats and writes its lines this many at a time
 MAX_FILE_PRECISION = 1024  # bits per coordinate that gen writes and disc --in reads
-
-
-class BudgetExceeded(Exception):
-    """A request refused for its size; the message names the size and the budget."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +102,10 @@ def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
     if not match:
         raise ValueError(f"bad {fmt} value {text!r}")
     if fmt == "hexfrac":
-        return int(match[1], 16), int(match[2])
+        num, prec = int(match[1], 16), int(match[2])
+        if num >> prec:
+            raise ValueError("coordinate outside [0,1)")
+        return num, prec
     if fmt == "bin":
         frac = match[1] or ""
         return int(frac, 2) if frac else 0, len(frac)
@@ -122,23 +125,26 @@ def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
     return num >> zeros, k - zeros
 
 
-def read_point_file(path: str, fmt: str) -> list[DyadicPoint]:
+def _read_columns(path: str, fmt: str) -> tuple[list[np.ndarray], int]:
+    """A point file's numerator columns, shifted to its largest precision, and that."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError("empty point file")
     parsed = [[parse_coordinate(tok, fmt) for tok in ln.split()] for ln in lines]
-    s = len(parsed[0])
     prec = max((p for row in parsed for _, p in row), default=0)
     if prec > MAX_FILE_PRECISION:  # every coordinate would be shifted to it
         raise BudgetExceeded(f"precision of {prec} bits in {path} exceeds cap "
                              f"{MAX_FILE_PRECISION}")
-    points = []
-    for row in parsed:
-        if len(row) != s:
-            raise ValueError("ragged point file")
-        points.append(DyadicPoint(tuple(n << (prec - p) for n, p in row), prec))
-    return points
+    if len(set(map(len, parsed))) != 1:
+        raise ValueError("ragged point file")
+    table = np.array(parsed, dtype=object)  # row, coordinate, (numerator, precision)
+    return list((table[..., 0] << prec - table[..., 1]).T), prec
+
+
+def read_point_file(path: str, fmt: str) -> list[DyadicPoint]:
+    """The points of a point file, for API callers; disc --in reads its columns."""
+    return _points(*_read_columns(path, fmt))
 
 
 def _emit(text: Iterable[str], out_path: str | None) -> None:
@@ -180,9 +186,10 @@ def _sequence(args, m: int) -> GeneratingMatrixSet:
     return sequence_net(args.s, _alpha(args), m)
 
 
-def _generated_net(args) -> GeneratingMatrixSet | None:
+def _generated_columns(args) -> tuple[list[np.ndarray], int]:
     """Check the generated-mode flags and the point budget before anything
-    is built; the net's matrices, or None in corollary (--count) mode."""
+    is built; the numerator columns of the net or of the corollary
+    (--count) set, and their precision."""
     if args.count is None and args.m is None:
         raise ValueError("need --m (net mode) or --count (corollary mode)")
     if args.s is None:
@@ -192,9 +199,10 @@ def _generated_net(args) -> GeneratingMatrixSet | None:
             raise ValueError("--alpha is fixed to 3 in corollary (--count) mode")
         _check_points(str(args.count), max(args.count - 1, 0).bit_length(),
                       args.budget_exponent)
-        return None
+        return _corollary_columns(args.s, args.count)
     _check_points(f"2^{args.m}", args.m, args.budget_exponent)
-    return _sequence(args, args.m)
+    g = _sequence(args, args.m)
+    return _net_columns(g), g.depth
 
 
 def _cmd_gen(args) -> int:
@@ -204,11 +212,7 @@ def _cmd_gen(args) -> int:
     bits = max(depth, shift.precision if shift else 0)
     if bits > MAX_FILE_PRECISION:  # disc --in would refuse the file
         raise BudgetExceeded(f"output precision of {bits} bits exceeds cap {MAX_FILE_PRECISION}")
-    g = _generated_net(args)
-    if g is None:
-        cols, prec = _corollary_columns(args.s, args.count)
-    else:
-        cols, prec = _net_columns(g, 1 << g.width), g.depth
+    cols, prec = _generated_columns(args)
     if shift is not None:
         cols, prec = _shift_columns(cols, prec, shift)
     _emit(_gen_blocks(cols, _FORMATTERS[args.format](prec)), args.out)
@@ -224,14 +228,13 @@ def _gen_blocks(cols, fmt: Callable[[int], str]) -> Iterator[str]:
 
 def _cmd_disc(args) -> int:
     if args.infile:
-        points = read_point_file(args.infile, args.format)
-        if max(len(points) - 1, 0).bit_length() > args.budget_exponent:
-            raise BudgetExceeded(f"{len(points)} points in {args.infile} "
+        cols, prec = _read_columns(args.infile, args.format)
+        if max(len(cols[0]) - 1, 0).bit_length() > args.budget_exponent:
+            raise BudgetExceeded(f"{len(cols[0])} points in {args.infile} "
                                  f"exceed budget 2^{args.budget_exponent}")
     else:
-        g = _generated_net(args)
-        points = corollary_pointset(args.s, args.count) if g is None else net_points(g)
-    value = warnock_l2(points, exact=args.exact)
+        cols, prec = _generated_columns(args)
+    value = math.sqrt(_warnock_sq(cols, prec, args.exact))  # warnock_l2 of the columns
     _emit([f"{value!r}\n"], args.out)
     return EXIT_OK
 
@@ -239,28 +242,27 @@ def _cmd_disc(args) -> int:
 def _cmd_scan(args) -> int:
     _check_points(str(args.nmax), max(args.nmax - 1, 0).bit_length(), args.budget_exponent)
     g = _sequence(args, max((args.nmax - 1).bit_length(), 1))
-    points = net_points(g, count=args.nmax)
-    report = warnock_scan(points, args.nmax, exact=args.exact)
+    report = _scan(_net_columns(g, args.nmax), g.depth, args.exact)
     _emit([report.to_csv()], args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    g = sequence_net(args.s, args.alpha, args.m)
-    t = args.t if args.t is not None else g.t_bound
-    if t is None:
-        raise ValueError("no formula bound available; pass --t")
+    if min(args.s, args.alpha, args.m) < 1:  # the bound below assumes them positive
+        raise ValueError("dimensions must be positive")
+    bound = _sequence_bound(args.s, args.alpha)  # from the generator degrees, no net built
+    t = bound if args.t is None else args.t
     top = args.alpha * args.m
     # every net meets t = alpha*m, so such a bound certifies nothing; a --t
     # beyond it is left to find_dependency's range check (exit 64)
     if t == top or (args.t is None and t > top):
         print(f"trivial: order-{args.alpha} t={t} reaches alpha*m={top} "
-              f"(formula bound {g.t_bound}); nothing to search")
+              f"(formula bound {bound}); nothing to search")
         return EXIT_OK
+    g = sequence_net(args.s, args.alpha, args.m)
     witness = find_dependency(g, args.alpha, t, budget=args.budget)
     if witness is None:
-        print(f"certified: order-{args.alpha} quality t={t} "
-              f"(formula bound {g.t_bound})")
+        print(f"certified: order-{args.alpha} quality t={t} (formula bound {bound})")
         return EXIT_OK
     rows = " ".join(f"(j={j + 1},row={i})" for j, i in witness)
     print(f"violated: dependent admissible rows {rows} at t={t}")

@@ -55,7 +55,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .points import DyadicPoint
+from .points import BudgetExceeded, DyadicPoint
 from .walsh import _r_table
 
 EXACT_LIMIT = 1024
@@ -169,7 +169,7 @@ def _added(comps: list[np.ndarray], count: int, prec: int, exact: bool) -> np.nd
     if k == 1:
         return 2 * _dominance_sums(comps[0][::-1])[::-1] + comps[0]
     if exact and count > EXACT_LIMIT:
-        raise ValueError(f"exact mode limited to {EXACT_LIMIT} points")
+        raise BudgetExceeded(f"exact mode limited to {EXACT_LIMIT} points")
     if not exact:
         comps = [(col / (1 << prec)).astype(float) for col in comps]
     added = np.empty(count, dtype=object)
@@ -211,20 +211,23 @@ def _rational_parts(count, s1, s2, s: int, prec: int):
     return num, den
 
 
-def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool = False) -> float | Fraction:
-    """Squared L2 discrepancy; Fraction in exact mode, float otherwise.
-
-    The points are sorted by their first complement a, descending, so that
-    min(a_l, a_n) = a_n for l < n and S2 = sum_n a_n K_n, K what each point
-    adds over the other s - 1 columns.  The float is the one that int/int
-    division rounds correctly from the exact numerator and denominator."""
-    cols, prec, s = _columns(points)
+def _warnock_sq(cols: list[np.ndarray], prec: int, exact: bool) -> float | Fraction:
+    """warnock_l2_sq of numerator columns at precision prec, uint64 or object
+    arrays.  Sorted by their first complement a, descending, the points have
+    min(a_l, a_n) = a_n for l < n, so S2 = sum_n a_n K_n, K what each adds over
+    the other s - 1 columns.  A float is int/int division, correctly rounded."""
+    cols = [np.asarray(c, dtype=object) for c in cols]  # uint64 products would wrap
     comps = [(1 << prec) - c for c in cols]
     order = _ascending(_limbs(comps[0]))[::-1]
     a, *rest = [c[order] for c in comps]
-    s2 = a.dot(_added(rest, len(points), prec, exact))
-    num, den = _rational_parts(len(points), _point_terms(cols, prec).sum(), s2, s, prec)
+    s2 = a.dot(_added(rest, len(a), prec, exact))
+    num, den = _rational_parts(len(a), _point_terms(cols, prec).sum(), s2, len(cols), prec)
     return Fraction(num, den) if exact else num / den
+
+
+def warnock_l2_sq(points: Sequence[DyadicPoint], exact: bool = False) -> float | Fraction:
+    """Squared L2 discrepancy; Fraction in exact mode, float otherwise."""
+    return _warnock_sq(*_columns(points)[:2], exact)
 
 
 def warnock_l2(points: Sequence[DyadicPoint], exact: bool = False) -> float:
@@ -294,7 +297,15 @@ def warnock_scan(
     points = list(islice(seq, n_max))
     if len(points) < n_max:
         raise ValueError(f"stream ended after {len(points)} points, need {n_max}")
-    cols, prec, s = _columns(points)
+    return _scan(*_columns(points)[:2], exact)
+
+
+def _scan(cols: list[np.ndarray], prec: int, exact: bool) -> DiscrepancyReport:
+    """warnock_scan of numerator columns at precision prec, uint64 or object arrays."""
+    cols = [np.asarray(c, dtype=object) for c in cols]  # uint64 products would wrap
+    n_max, s = len(cols[0]), len(cols)
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
     pair_sums = np.cumsum(_added([(1 << prec) - c for c in cols], n_max, prec, exact))
     counts = range(2, n_max + 1)
     num, den = _rational_parts(np.array(counts, dtype=object),
@@ -324,7 +335,8 @@ def walsh_series_l2(points: Sequence[DyadicPoint], trunc: int) -> float:
     top = 1 << trunc
     estimate = s * (5 * top - 2 * trunc - 4) << (s - 1) * trunc
     if estimate > SERIES_BUDGET:
-        raise ValueError(f"series cost {estimate} sparse products exceeds budget {SERIES_BUDGET}")
+        raise BudgetExceeded(f"series cost {estimate} sparse products exceeds budget "
+                             f"{SERIES_BUDGET}")
     cell = np.zeros(len(points), dtype=np.int64)
     for col in cols:
         cut = (col >> prec - trunc if prec >= trunc else col << trunc - prec).astype(np.int64)
@@ -438,7 +450,7 @@ def _quadrature_sq(points: Sequence[DyadicPoint], grid: int | None = None) -> Fr
     shape = [len(v) - 1 for v, _ in axes]
     cells = math.prod(shape)
     if cells > QUADRATURE_BUDGET:
-        raise ValueError(f"quadrature over {cells} cells exceeds budget {QUADRATURE_BUDGET}")
+        raise BudgetExceeded(f"quadrature over {cells} cells exceeds budget {QUADRATURE_BUDGET}")
     index = np.array([i for _, i in axes], dtype=np.int64)
     inside = (index < np.array(shape)[:, None]).all(axis=0)  # a mesh end counts nowhere
     y, x = _cell_sums(index[:, inside], shape,

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .gf2 import BitMatrix
-from .gf2poly import laurent_expand, primitive_polys
+from .gf2poly import _generator_degrees, laurent_expand, primitive_polys
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,8 @@ def sobol_matrices(s: int, depth: int, width: int) -> GeneratingMatrixSet:
         raise ValueError("dimensions must be positive")
     polys = primitive_polys(s)
     mats = []
-    t_bound = 0
     for p in polys:
         e = p.degree
-        t_bound += e - 1
         rows = []
         for k in range(1, depth + 1):
             i = (k - 1) // e + 1
@@ -67,7 +65,20 @@ def sobol_matrices(s: int, depth: int, width: int) -> GeneratingMatrixSet:
             coeffs = laurent_expand(p, i, z, width)
             rows.append(sum(a << l for l, a in enumerate(coeffs)))
         mats.append(BitMatrix.from_rows(rows, width))
-    return GeneratingMatrixSet(s, depth, width, tuple(mats), 1, t_bound)
+    return GeneratingMatrixSet(s, depth, width, tuple(mats), 1, _sequence_bound(s, 1))
+
+
+def _interlaced_bound(t: int, d: int, alpha: int) -> int:
+    """Bound on t of d coordinates interlaced by alpha from an order-1 set
+    with bound t: alpha*t + d*alpha*(alpha-1)/2, t itself at alpha = 1."""
+    return alpha * t + d * (alpha * (alpha - 1) // 2)
+
+
+def _sequence_bound(s: int, alpha: int) -> int:
+    """t_bound of sequence_net(s, alpha, m) at every m: the sum of (deg p_j
+    - 1) over its s*alpha generator polynomials, interlaced by alpha.  The
+    degrees come from the polynomial counts, so nothing is scanned."""
+    return _interlaced_bound(sum(e - 1 for e in _generator_degrees(s * alpha)), s, alpha)
 
 
 def interlace_matrices(src: GeneratingMatrixSet, alpha: int) -> GeneratingMatrixSet:
@@ -96,9 +107,7 @@ def interlace_matrices(src: GeneratingMatrixSet, alpha: int) -> GeneratingMatrix
             v += 1
             rows.append(src.matrices[(j - 1) * alpha + v - 1].data[u])
         mats.append(BitMatrix.from_rows(rows, src.width))
-    t_bound = None
-    if src.t_bound is not None:
-        t_bound = alpha * src.t_bound + d * (alpha * (alpha - 1) // 2)
+    t_bound = None if src.t_bound is None else _interlaced_bound(src.t_bound, d, alpha)
     return GeneratingMatrixSet(d, new_depth, src.width, tuple(mats), alpha, t_bound)
 
 

@@ -147,22 +147,28 @@ def _primitives_of_degree(e: int) -> list[Gf2Poly]:
         return _primitive_by_degree.setdefault(e, found)
 
 
-def primitive_polys(count: int) -> list[Gf2Poly]:
-    """First ``count`` generator polynomials: x, then primitive polynomials
-    sorted by ascending degree, ties broken by ascending bitmask."""
+def _generator_degrees(count: int) -> list[int]:
+    """Degrees of primitive_polys(count), from _primitive_count alone: no
+    polynomial is scanned, and a count beyond the scan cap is refused."""
     if count < 1:
         raise ValueError("count must be positive")
-    if count > _MAX_GENERATORS:  # refused before any scan
+    if count > _MAX_GENERATORS:
         raise ValueError(f"primitive-polynomial scan capped at degree {MAX_SCAN_DEGREE}")
-    out = [X]
+    degrees = [1]  # x
     e = 1
-    while len(out) < count:
-        for p in _primitives_of_degree(e):
-            out.append(p)
-            if len(out) == count:
-                break
+    while len(degrees) < count:
+        degrees += [e] * _primitive_count(e)
         e += 1
-    return out
+    return degrees[:count]
+
+
+def primitive_polys(count: int) -> list[Gf2Poly]:
+    """First ``count`` generator polynomials: x, then primitive polynomials
+    sorted by ascending degree, ties broken by ascending bitmask.  A count
+    beyond the scan cap is refused before any scan."""
+    top = _generator_degrees(count)[-1]
+    polys = [X] + [p for e in range(1, top + 1) for p in _primitives_of_degree(e)]
+    return polys[:count]
 
 
 def laurent_expand(p: Gf2Poly, i: int, z: int, length: int) -> list[int]:

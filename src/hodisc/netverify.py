@@ -22,7 +22,7 @@ import numpy as np
 
 from .genmat import GeneratingMatrixSet
 from .gf2 import BitMatrix, kernel_basis, span, stack_transposed, xor_rows
-from .points import DyadicPoint
+from .points import BudgetExceeded, DyadicPoint
 from .walsh import WalshIndex, mu_alpha, wal_vec
 
 DEFAULT_PATTERN_BUDGET = 2_000_000
@@ -209,14 +209,14 @@ def smallest_certified_t(
     """Smallest t the verifier certifies, walking down from a passing bound.
 
     Starts at the formula bound, moves up while violated, then down while
-    certified.  Budget overruns propagate.
+    certified.  Every net is certified at t = alpha*m, where no row is
+    admissible, so the walk up stops there at the latest.  Budget overruns
+    propagate.
     """
     hi = alpha * g.width
     t = min(g.t_bound if g.t_bound is not None else hi, hi)
-    while t <= hi and not verify_order_alpha(g, alpha, t, budget=budget):
+    while not verify_order_alpha(g, alpha, t, budget=budget):
         t += 1
-    if t > hi:
-        raise ValueError("no quality parameter certifies; matrices are defective")
     while t > 0 and verify_order_alpha(g, alpha, t - 1, budget=budget):
         t -= 1
     return t
@@ -238,7 +238,7 @@ def box_counts(
     if any(dj < 0 for dj in d):
         raise ValueError("negative box exponent")
     if sum(d) > 22:  # the CLI's point budget: 2^22 boxes take ~0.4 GB as a dict
-        raise ValueError(f"2^{sum(d)} boxes exceed budget 2^22")
+        raise BudgetExceeded(f"2^{sum(d)} boxes exceed budget 2^22")
     if max(d, default=0) > min(pt.precision for pt in points):
         raise ValueError("box finer than the point precision")
     counts: dict[tuple[int, ...], int] = {

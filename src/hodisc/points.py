@@ -20,6 +20,10 @@ from .gf2 import BitMatrix, xor_rows
 COROLLARY_PRECISION = 128
 
 
+class BudgetExceeded(ValueError):
+    """A request refused for its size; the message names the size and the budget."""
+
+
 @dataclass(frozen=True)
 class DyadicPoint:
     """Point in [0,1)^s with one numerator per coordinate at shared precision."""
@@ -55,8 +59,8 @@ def _column_numerators(g: GeneratingMatrixSet) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rev.column_mask(l) for l in range(g.width)) for rev in flipped)
 
 
-def _net_columns(g: GeneratingMatrixSet, count: int) -> list[np.ndarray]:
-    """Per coordinate, the numerators of points 0 .. count-1 in index order.
+def _net_columns(g: GeneratingMatrixSet, count: int | None = None) -> list[np.ndarray]:
+    """Per coordinate, the numerators of points 0 .. count-1 (default all) in index order.
 
     Points 2^l .. 2^(l+1)-1 are points 0 .. 2^l-1 XOR column numerator l, so
     doubling, col = concat(col, col ^ c), lists xor_rows(per, n) for n in
@@ -64,6 +68,11 @@ def _net_columns(g: GeneratingMatrixSet, count: int) -> list[np.ndarray]:
     uint64 holds depths up to 64; deeper numerators are Python ints in
     object arrays.
     """
+    total = 1 << g.width
+    if count is None:
+        count = total
+    if not 0 <= count <= total:
+        raise ValueError(f"count {count} out of range for width {g.width}")
     levels = max(count - 1, 0).bit_length()
     dtype = np.uint64 if g.depth <= 64 else object
     cols = []
@@ -91,11 +100,6 @@ def nth_point(g: GeneratingMatrixSet, n: int) -> DyadicPoint:
 def net_points(g: GeneratingMatrixSet, count: int | None = None) -> list[DyadicPoint]:
     """First ``count`` points (default all 2^width) in index order, built
     as numerator columns (_net_columns) and read out row by row."""
-    total = 1 << g.width
-    if count is None:
-        count = total
-    if not 0 <= count <= total:
-        raise ValueError(f"count {count} out of range for width {g.width}")
     return _points(_net_columns(g, count), g.depth)
 
 
@@ -163,7 +167,7 @@ def _corollary_net(s: int, n_points: int) -> tuple[list[np.ndarray], int]:
     base = sobol_matrices(3 * s - 1, m, m)
     mats = (_prefix_matrix(m),) + base.matrices
     src = GeneratingMatrixSet(3 * s, m, m, mats, 1, None)
-    cols = _net_columns(interlace_matrices(src, 3), 1 << m)
+    cols = _net_columns(interlace_matrices(src, 3))
     keep = cols[0] < n_points << (2 * m)
     kept = [c[keep] for c in cols]
     if len(kept[0]) != n_points:

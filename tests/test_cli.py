@@ -21,6 +21,7 @@ from hodisc.cli import (
     parse_coordinate,
     read_point_file,
 )
+from hodisc.discrepancy import warnock_l2, warnock_scan
 from hodisc.genmat import sequence_net
 from hodisc.points import DyadicPoint, corollary_pointset, digital_shift, net_points
 
@@ -177,10 +178,90 @@ def test_disc_exact_beyond_the_row_loop_cap(tmp_path, capsys):
     code2, exa, _ = run(capsys, "disc", "--in", str(pointfile), "--exact")
     assert code == code2 == EXIT_OK
     assert exa == flo
-    # scans at s >= 2 still run the row loop, whose exact mode is capped
-    code, _, err = run(capsys, "scan", "--s", "2", "--nmax", "1100", "--exact")
-    assert code == EXIT_USAGE
-    assert "1024" in err
+    # scans at s >= 2 and one-shots at s >= 3 still run the row loop, whose
+    # exact mode is capped: a budget refusal, exit 3 with nothing on stdout
+    for argv in (("scan", "--s", "2", "--nmax", "1100"), ("disc", "--s", "3", "--m", "11")):
+        code, out, err = run(capsys, *argv, "--alpha", "2", "--exact")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "budget exceeded: exact mode limited to 1024 points\n"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("flags", [
+    # depth 64 (uint64 columns) and 65 (object columns) at s = 1..4
+    *((("--s", str(s), "--alpha", alpha, "--m", m)) for s in range(1, 5)
+      for alpha, m in (("8", "8"), ("13", "5"))),
+    # corollary sets at N = 2^k, where the net is kept whole, and 2^k +- 1
+    *((("--s", s, "--count", n)) for s in ("2", "3") for n in ("63", "64", "65")),
+])
+def test_disc_equals_the_api_route(capsys, flags, exact):
+    code, out, err = run(capsys, "disc", *flags, *(("--exact",) if exact else ()))
+    assert (code, err) == (EXIT_OK, "")
+    opts = dict(zip(flags[::2], map(int, flags[1::2])))
+    if "--count" in opts:
+        points = corollary_pointset(opts["--s"], opts["--count"])
+    else:
+        points = net_points(sequence_net(opts["--s"], opts["--alpha"], opts["--m"]))
+    assert out == f"{warnock_l2(points, exact=exact)!r}\n"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("s,nmax", [(1, 300), (2, 150), (3, 100)])
+def test_scan_equals_the_api_route(capsys, s, nmax, exact):
+    code, out, err = run(capsys, "scan", "--s", str(s), "--alpha", "2", "--nmax", str(nmax),
+                         *(("--exact",) if exact else ()))
+    assert (code, err) == (EXIT_OK, "")
+    g = sequence_net(s, 2, (nmax - 1).bit_length())
+    assert out == warnock_scan(net_points(g, nmax), nmax, exact).to_csv()
+
+
+# (numerator, precision) per token: precisions 0 to 70 in one file, so every
+# column is padded, some past 64 bits
+MIXED_ROWS = [
+    [(1, 3), (3, 7), (0, 0)],
+    [(255, 8), (1, 1), (5, 4)],
+    [(0, 2), (127, 9), (1, 70)],
+    [(3, 2), (0, 5), (11, 6)],
+    [(1, 1), (1, 2), (1, 3)],
+]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("fmt", sorted(FORMATTERS))
+def test_disc_file_equals_the_api_route(tmp_path, capsys, fmt, exact):
+    pointfile = tmp_path / "pts.txt"
+    pointfile.write_text("".join(
+        " ".join(FORMATTERS[fmt](p)(n) for n, p in row) + "\n" for row in MIXED_ROWS))
+    code, out, err = run(capsys, "disc", "--in", str(pointfile), "--format", fmt,
+                         *(("--exact",) if exact else ()))
+    assert (code, err) == (EXIT_OK, "")
+    points = read_point_file(str(pointfile), fmt)
+    assert [pt.coords[2] for pt in points] == [0, 5 << 66, 1, 11 << 64, 1 << 67]
+    assert out == f"{warnock_l2(points, exact=exact)!r}\n"
+
+
+def test_cli_point_paths_build_no_points(tmp_path, capsys, monkeypatch):
+    # gen, disc, scan and disc --in hand numerator columns to the formatters
+    # and the Warnock cores; the one point made is the sigma of gen --shift
+    built = []
+    check = DyadicPoint.__post_init__
+    monkeypatch.setattr(DyadicPoint, "__post_init__", lambda pt: built.append(pt) or check(pt))
+    pointfile = tmp_path / "pts.txt"
+    net = ("--s", "3", "--alpha", "2", "--m", "6")
+    for argv, points in [
+        (("gen", *net, "--format", "hexfrac", "--out", str(pointfile)), 0),
+        (("gen", "--s", "2", "--count", "37"), 0),
+        (("gen", *net, "--shift", "a,b,c"), 1),
+        (("disc", *net), 0),
+        (("disc", *net, "--exact"), 0),
+        (("disc", "--s", "2", "--count", "37", "--exact"), 0),
+        (("scan", "--s", "2", "--alpha", "2", "--nmax", "40"), 0),
+        (("scan", "--s", "1", "--alpha", "2", "--nmax", "40", "--exact"), 0),
+        (("disc", "--in", str(pointfile), "--format", "hexfrac"), 0),
+    ]:
+        built.clear()
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert len(built) == points, argv
 
 
 def test_scan_csv_shape_and_round_trip(capsys):
@@ -339,6 +420,23 @@ def test_verdict_lines_exact(capsys, argv, code, out):
     assert run(capsys, *argv) == (code, out, "")
 
 
+def test_verify_trivial_without_building_the_net(capsys):
+    # the 5715 generator polynomials up to degree 16 give a formula bound far
+    # beyond alpha*m = 1; it comes from their degree counts, without a scan
+    def expire(signum, frame):
+        raise TimeoutError("no verdict within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        result = run(capsys, "verify", "--s", "5715", "--alpha", "1", "--m", "1")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result == (EXIT_OK, "trivial: order-1 t=77861 reaches alpha*m=1 "
+                               "(formula bound 77861); nothing to search\n", "")
+
+
 def test_verify_certified_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--s", "2", "--alpha", "1", "--m", "6", "--t", "0")
     assert code == EXIT_OK
@@ -488,7 +586,9 @@ def test_format_helpers_exact():
         parse_coordinate("0.2", "dec")  # not dyadic
     # int() and Fraction() take digit separators and signs; no formatter writes them
     for text, fmt in [("0x1_0p-8", "hexfrac"), ("0x1p-+3", "hexfrac"), ("0.1_0", "bin"),
-                      ("0.+1", "bin"), ("0.1_0", "dec"), ("+0.5", "dec"), ("-0", "dec")]:
+                      ("0.+1", "bin"), ("0.1_0", "dec"), ("+0.5", "dec"), ("-0", "dec"),
+                      # numerators of 2^precision or more: values outside [0,1)
+                      ("0x10p-4", "hexfrac"), ("0x1p-0", "hexfrac")]:
         with pytest.raises(ValueError):
             parse_coordinate(text, fmt)
     # a signed exponent in dec is still read, as float repr writes it

@@ -25,7 +25,13 @@ from hodisc.discrepancy import (
 from hodisc.genmat import GeneratingMatrixSet, sequence_net
 from hodisc.gf2 import BitMatrix
 from hodisc.netverify import dual_enumerate
-from hodisc.points import DyadicPoint, corollary_pointset, digital_shift, net_points
+from hodisc.points import (
+    BudgetExceeded,
+    DyadicPoint,
+    corollary_pointset,
+    digital_shift,
+    net_points,
+)
 from hodisc.walsh import _r_table, r_coeff, wal_vec
 
 
@@ -125,10 +131,12 @@ def test_permutation_invariance():
 
 
 def test_exact_mode_size_cap():
-    # EXACT_LIMIT binds only the row loop: one-shots at s >= 3, scans at s >= 2
-    with pytest.raises(ValueError):
+    # EXACT_LIMIT binds only the row loop: one-shots at s >= 3, scans at s >= 2;
+    # a budget refusal, which the CLI maps to exit 3
+    cap = "exact mode limited to 1024 points"
+    with pytest.raises(BudgetExceeded, match=cap):
         warnock_l2_sq([DyadicPoint((n % 16, n % 5, n % 7), 4) for n in range(1025)], exact=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded, match=cap):
         warnock_scan([DyadicPoint((n % 16, n % 5), 4) for n in range(1025)], 1025, exact=True)
     one_d = [DyadicPoint((n % 16,), 4) for n in range(1025)]
     value = warnock_l2_sq(one_d, exact=True)
@@ -318,7 +326,7 @@ def test_series_single_point_near_one_third():
 
 def test_series_budget_rejected_with_estimate():
     pts = net_points(sequence_net(2, 1, 2))
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(BudgetExceeded, match="budget"):
         walsh_series_l2(pts, 8)
 
 
@@ -530,7 +538,7 @@ def test_quadrature_budget_refused_before_any_work(monkeypatch):
     pts = net_points(sequence_net(2, 1, 4))
     monkeypatch.setattr(hodisc.discrepancy, "_cell_sums", contract)
     monkeypatch.setattr(hodisc.discrepancy, "QUADRATURE_BUDGET", 255)
-    with pytest.raises(ValueError, match="quadrature over 256 cells exceeds budget 255"):
+    with pytest.raises(BudgetExceeded, match="quadrature over 256 cells exceeds budget 255"):
         quadrature_oracle_l2(pts)
     monkeypatch.setattr(hodisc.discrepancy, "QUADRATURE_BUDGET", 511)
     with pytest.raises(ValueError, match="quadrature over 512 cells exceeds budget 511"):

@@ -2,6 +2,7 @@ import pytest
 
 from hodisc.genmat import (
     GeneratingMatrixSet,
+    _sequence_bound,
     interlace_matrices,
     sequence_net,
     sobol_matrices,
@@ -22,6 +23,8 @@ def test_t_bound_from_degrees():
     assert sobol_matrices(2, 4, 4).t_bound == 0      # degrees 1, 1
     assert sobol_matrices(3, 4, 4).t_bound == 1      # degrees 1, 1, 2
     assert sobol_matrices(5, 4, 4).t_bound == 1 + 2 + 2  # 1,1,2,3,3
+    # interlaced by 2 from degrees 1,1,2,3, as verify prints it without a net
+    assert _sequence_bound(2, 2) == sequence_net(2, 2, 3).t_bound == 2 * 3 + 2 * 1
 
 
 def test_upper_triangular_structure():

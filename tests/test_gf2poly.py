@@ -6,6 +6,7 @@ from hodisc.gf2poly import (
     Gf2Poly,
     X,
     _MAX_GENERATORS,
+    _generator_degrees,
     _primitive_count,
     _primitives_of_degree,
     is_primitive,
@@ -94,6 +95,9 @@ def test_primitive_polys_stable_and_primitive():
     assert degrees == sorted(degrees[:1] + degrees[1:])  # ascending after p_1
     for p in a[1:]:
         assert is_primitive(p)
+    # the degrees that the verify formula bound reads from the counts alone
+    for n in (1, 2, 3, 12, 13, 200):
+        assert _generator_degrees(n) == [p.degree for p in primitive_polys(n)]
 
 
 def test_primitive_polys_refuses_beyond_the_degree_cap_before_scanning():

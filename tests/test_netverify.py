@@ -25,7 +25,7 @@ from hodisc.netverify import (
     smallest_certified_t,
     verify_order_alpha,
 )
-from hodisc.points import net_points
+from hodisc.points import BudgetExceeded, net_points
 from hodisc.walsh import mu_alpha
 
 
@@ -47,6 +47,14 @@ def test_three_dims_need_t1():
     # the witness rows really are linearly dependent
     masks = [g.matrices[j].data[row - 1] for j, row in witness]
     assert rank(BitMatrix.from_rows(masks, g.width)) < len(masks)
+
+
+def test_smallest_certified_t_walks_up_from_a_failing_bound():
+    # a bound of 0 for the three dimensions of test_three_dims_need_t1 is
+    # violated, so the walk goes up to the same t* = 1 as from the formula bound
+    g = sequence_net(3, 1, 4)
+    assert smallest_certified_t(g, 1) == 1
+    assert smallest_certified_t(dataclasses.replace(g, t_bound=0), 1) == 1
 
 
 def test_order2_interlaced_certifies_within_bound():
@@ -241,7 +249,7 @@ def test_box_counts_refuses_2_to_the_23_boxes_before_building_them():
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(5)
     try:
-        with pytest.raises(ValueError, match=r"2\^23 boxes exceed budget 2\^22"):
+        with pytest.raises(BudgetExceeded, match=r"2\^23 boxes exceed budget 2\^22"):
             box_counts(pts, (12, 11))
     finally:
         signal.alarm(0)
@@ -362,6 +370,15 @@ def test_dual_budget():
     g = sequence_net(2, 2, 3)
     with pytest.raises(VerificationBudgetError):
         dual_enumerate(g, budget_exponent=4)
+
+
+def test_dual_budget_on_the_kernel_found():
+    # the all-zero 4x2 matrix passes the up-front check, 1*4 - 2 <= 3, but
+    # its kernel has all 4 digit vectors: 2^4 elements against 2^3
+    zero = GeneratingMatrixSet(1, 4, 2, (BitMatrix.from_rows([0] * 4, 2),), 1, None)
+    with pytest.raises(VerificationBudgetError) as info:
+        dual_enumerate(zero, budget_exponent=3)
+    assert (info.value.estimate, info.value.budget) == (16, 8)
 
 
 def test_character_sum_zero_index():
