@@ -30,6 +30,7 @@ from .netverify import (
 )
 from .points import (
     COROLLARY_PRECISION,
+    DEFAULT_POINT_BUDGET_EXPONENT,
     BudgetExceeded,
     DyadicPoint,
     _corollary_columns,
@@ -46,7 +47,6 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 
 DEFAULT_SEQUENCE_ALPHA = 5  # sequence mode of gen, disc and scan
-DEFAULT_POINT_BUDGET_EXPONENT = 22  # at most 2^22 points (gen, disc, scan) or lines (rtable)
 GEN_BLOCK_ROWS = 1 << 16  # gen formats and writes its lines this many at a time
 MAX_FILE_PRECISION = 1024  # bits per coordinate that gen writes and disc --in reads
 
@@ -125,10 +125,14 @@ def parse_coordinate(text: str, fmt: str) -> tuple[int, int]:
     return num >> zeros, k - zeros
 
 
-def _read_columns(path: str, fmt: str) -> tuple[list[np.ndarray], int]:
-    """A point file's numerator columns, shifted to its largest precision, and that."""
+def _read_lines(path: str) -> list[str]:
+    """A point file's non-blank lines, stripped, one per point."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        return [ln.strip() for ln in fh if ln.strip()]
+
+
+def _parse_columns(lines: list[str], path: str, fmt: str) -> tuple[list[np.ndarray], int]:
+    """A point file's numerator columns, shifted to its largest precision, and that."""
     if not lines:
         raise ValueError("empty point file")
     parsed = [[parse_coordinate(tok, fmt) for tok in ln.split()] for ln in lines]
@@ -144,7 +148,7 @@ def _read_columns(path: str, fmt: str) -> tuple[list[np.ndarray], int]:
 
 def read_point_file(path: str, fmt: str) -> list[DyadicPoint]:
     """The points of a point file, for API callers; disc --in reads its columns."""
-    return _points(*_read_columns(path, fmt))
+    return _points(*_parse_columns(_read_lines(path), path, fmt))
 
 
 def _emit(text: Iterable[str], out_path: str | None) -> None:
@@ -227,11 +231,12 @@ def _gen_blocks(cols, fmt: Callable[[int], str]) -> Iterator[str]:
 
 
 def _cmd_disc(args) -> int:
-    if args.infile:
-        cols, prec = _read_columns(args.infile, args.format)
-        if max(len(cols[0]) - 1, 0).bit_length() > args.budget_exponent:
-            raise BudgetExceeded(f"{len(cols[0])} points in {args.infile} "
+    if args.infile:  # the line count is refused before any coordinate is parsed
+        lines = _read_lines(args.infile)
+        if max(len(lines) - 1, 0).bit_length() > args.budget_exponent:
+            raise BudgetExceeded(f"{len(lines)} points in {args.infile} "
                                  f"exceed budget 2^{args.budget_exponent}")
+        cols, prec = _parse_columns(lines, args.infile, args.format)
     else:
         cols, prec = _generated_columns(args)
     value = math.sqrt(_warnock_sq(cols, prec, args.exact))  # warnock_l2 of the columns

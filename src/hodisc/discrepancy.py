@@ -74,6 +74,8 @@ def _columns(points: Sequence[DyadicPoint]) -> tuple[list[np.ndarray], int, int]
         raise ValueError("empty point set")
     coords = list(map(attrgetter("coords"), points))
     s = len(coords[0])
+    if s == 0:
+        raise ValueError("zero-dimensional point set")
     if set(map(len, coords)) != {s}:
         raise ValueError("points must share a dimension")
     cols = [np.array(c, dtype=object) for c in zip(*coords)]

@@ -6,9 +6,11 @@ to parity-of-AND popcounts.  A GF(2) combination of rows (one point from
 matrix columns, one dual element from a kernel basis) is one xor_rows
 call, and span lists every combination in index order at one XOR each,
 as the dual net's elements are walked; whole point sets are built by the
-same index order on numpy columns (points._net_columns).  All types are
-immutable after construction, so instances can be shared freely across
-threads.
+same index order on numpy columns (points._net_columns).  Beside one
+xor_rows and one span there is one elimination, dependencies: of a
+matrix's columns for kernel_basis, of the generating-matrix rows for the
+dual net (netverify.dual_enumerate).  All types are immutable after
+construction, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -64,14 +66,15 @@ class BitMatrix:
             raise IndexError((i, j))
         return (self.data[i] >> j) & 1
 
-    def column_mask(self, j: int) -> int:
-        """Column j packed into an int, bit i = entry of row i."""
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        mask = 0
-        for i, r in enumerate(self.data):
-            mask |= ((r >> j) & 1) << i
-        return mask
+    def columns(self) -> tuple[int, ...]:
+        """Every column as an int, bit i = entry of row i, in one pass."""
+        cols = [0] * self.cols
+        for i, mask in enumerate(self.data):
+            while mask:
+                low = mask & -mask
+                cols[low.bit_length() - 1] |= 1 << i
+                mask ^= low
+        return tuple(cols)
 
     def submatrix(self, rows: int, cols: int) -> BitMatrix:
         """Upper-left rows x cols block."""
@@ -140,38 +143,32 @@ def span(rows: Sequence[int]) -> Iterator[int]:
         yield acc
 
 
+def dependencies(vectors: Sequence[int]) -> list[int]:
+    """Index masks of the dependencies among the vectors, one per vector
+    that the earlier ones span, in index order.  Each vector is reduced by
+    the pivots held (keyed by top bit), its index mask XORed alongside, so
+    a mask is the unique sum over the first independent vectors: on matrix
+    columns, the reduced-row-echelon kernel basis."""
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (reduced vector, index mask)
+    deps = []
+    for i, vec in enumerate(vectors):
+        mask = 1 << i
+        while vec:
+            top = vec.bit_length() - 1
+            held = pivots.get(top)
+            if held is None:
+                pivots[top] = (vec, mask)
+                break
+            vec ^= held[0]
+            mask ^= held[1]
+        else:
+            deps.append(mask)
+    return deps
+
+
 def kernel_basis(m: BitMatrix) -> list[int]:
     """Basis masks of the right null space {v : M v = 0}; size = cols - rank."""
-    work = list(m.data)
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> col) & 1):
-                work[i] ^= work[r]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(work):
-            break
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for i, pc in enumerate(pivot_cols):
-            if (work[i] >> free) & 1:
-                bits |= 1 << pc
-        basis.append(bits)
-    return basis
+    return dependencies(m.columns())
 
 
 def rank(m: BitMatrix) -> int:
@@ -192,10 +189,8 @@ def stack_transposed(ms: Sequence[BitMatrix]) -> BitMatrix:
     for m in ms:
         if m.rows != p or m.cols != cols:
             raise ValueError("dimension mismatch: stacked matrices must share shape")
-    out_masks = []
-    for i in range(cols):
-        mask = 0
-        for j, m in enumerate(ms):
-            mask |= m.column_mask(i) << (j * p)
-        out_masks.append(mask)
+    out_masks = [0] * cols
+    for j, m in enumerate(ms):
+        for i, col in enumerate(m.columns()):
+            out_masks[i] |= col << (j * p)
     return BitMatrix(cols, len(ms) * p, tuple(out_masks))

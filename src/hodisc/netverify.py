@@ -3,7 +3,7 @@
 Checks the order-alpha row-independence condition by exhaustive search over
 admissible row selections, counts points in elementary boxes and in unions
 of dyadic intervals with pinned digits, enumerates the dual net from the
-kernel of the stacked transposed matrices, and evaluates exact Walsh
+dependencies among the generating-matrix rows, and evaluates exact Walsh
 character sums.  Certification that would exceed the enumeration budget
 raises VerificationBudgetError, a third outcome never conflated with a
 property violation.
@@ -21,8 +21,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .genmat import GeneratingMatrixSet
-from .gf2 import BitMatrix, kernel_basis, span, stack_transposed, xor_rows
-from .points import BudgetExceeded, DyadicPoint
+from .gf2 import BitMatrix, dependencies, span, xor_rows
+from .points import DEFAULT_POINT_BUDGET_EXPONENT, BudgetExceeded, DyadicPoint
 from .walsh import WalshIndex, mu_alpha, wal_vec
 
 DEFAULT_PATTERN_BUDGET = 2_000_000
@@ -237,8 +237,8 @@ def box_counts(
         raise ValueError("one exponent per coordinate required")
     if any(dj < 0 for dj in d):
         raise ValueError("negative box exponent")
-    if sum(d) > 22:  # the CLI's point budget: 2^22 boxes take ~0.4 GB as a dict
-        raise BudgetExceeded(f"2^{sum(d)} boxes exceed budget 2^22")
+    if sum(d) > DEFAULT_POINT_BUDGET_EXPONENT:  # 2^22 boxes take ~0.4 GB as a dict
+        raise BudgetExceeded(f"2^{sum(d)} boxes exceed budget 2^{DEFAULT_POINT_BUDGET_EXPONENT}")
     if max(d, default=0) > min(pt.precision for pt in points):
         raise ValueError("box finer than the point precision")
     counts: dict[tuple[int, ...], int] = {
@@ -348,7 +348,9 @@ def dual_enumerate(
     digit_range: int | None = None,
     budget_exponent: int = DEFAULT_DUAL_EXPONENT,
 ) -> DualNetBasis:
-    """Dual-net basis for a truncated matrix set.
+    """Dual-net basis for a truncated matrix set: k is dual when the rows
+    its digits select XOR to zero, so the basis is the dependencies among
+    the rows of C_1 .. C_s, coordinate-major.
 
     digit_range defaults to the depth; a larger range appends zero rows,
     matching the sequence matrices whose later rows vanish on the first
@@ -359,12 +361,9 @@ def dual_enumerate(
         raise ValueError("digit range below matrix depth")
     if g.s * r - g.width > budget_exponent:
         raise VerificationBudgetError(1 << max(g.s * r - g.width, 0), 1 << budget_exponent)
-    padded = []
-    for mat in g.matrices:
-        rows = mat.data + (0,) * (r - mat.rows)
-        padded.append(BitMatrix.from_rows(rows, mat.cols))
-    stacked = stack_transposed(padded)
-    basis = kernel_basis(stacked)
+    # row k of C_j is column j*r + k of the system sum_j C_j^T k_j = 0
+    basis = dependencies([row for mat in g.matrices
+                          for row in mat.data + (0,) * (r - mat.rows)])
     if len(basis) > budget_exponent:
         raise VerificationBudgetError(1 << len(basis), 1 << budget_exponent)
     return DualNetBasis(

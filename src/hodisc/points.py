@@ -18,6 +18,7 @@ from .genmat import GeneratingMatrixSet, interlace_matrices, sobol_matrices
 from .gf2 import BitMatrix, xor_rows
 
 COROLLARY_PRECISION = 128
+DEFAULT_POINT_BUDGET_EXPONENT = 22  # at most 2^22 points (gen, disc, scan) or lines (rtable)
 
 
 class BudgetExceeded(ValueError):
@@ -49,14 +50,14 @@ def _column_numerators(g: GeneratingMatrixSet) -> tuple[tuple[int, ...], ...]:
     """Per coordinate, column l of the matrix read as a digit numerator.
 
     Row k maps to digit k, i.e. bit depth-k of the numerator; reversing the
-    rows puts row k at index depth-k, so the numerators are the column masks
-    of the reversed matrix.  The numerator of point n is the XOR of the
+    rows puts row k at index depth-k, so the numerators are the columns of
+    the reversed matrix.  The numerator of point n is the XOR of the
     column numerators picked by the bits of n (xor_rows).  Memoised per
     matrix set, so nth_point and the columnar builds share one immutable
     build.
     """
     flipped = (BitMatrix.from_rows(mat.data[::-1], g.width) for mat in g.matrices)
-    return tuple(tuple(rev.column_mask(l) for l in range(g.width)) for rev in flipped)
+    return tuple(rev.columns() for rev in flipped)
 
 
 def _net_columns(g: GeneratingMatrixSet, count: int | None = None) -> list[np.ndarray]:

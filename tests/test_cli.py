@@ -301,7 +301,7 @@ def test_point_budget_default_refuses_2_to_the_40(capsys):
 
 
 def test_disc_file_point_budget(tmp_path, capsys):
-    # 5 points fit 2^3 and are refused at 2^2, after parsing and before Warnock
+    # 5 points fit 2^3 and are refused at 2^2, from the line count and before Warnock
     pointfile = tmp_path / "pts.txt"
     pointfile.write_text("0.5\n0.25\n0.75\n0.125\n0\n")
     code, out, _ = run(capsys, "disc", "--in", str(pointfile), "--budget-exponent", "3")
@@ -310,6 +310,23 @@ def test_disc_file_point_budget(tmp_path, capsys):
         code, out, err = run(capsys, "disc", "--in", str(pointfile), "--budget-exponent", exponent)
         assert code == EXIT_BUDGET and out == ""
         assert err == f"budget exceeded: 5 points in {pointfile} exceed budget 2^{exponent}\n"
+
+
+def test_disc_file_point_budget_before_parsing(tmp_path, capsys, monkeypatch):
+    # the line count is refused before any coordinate is parsed, so a file
+    # both over budget and malformed gets the budget message, not a usage error
+    pointfile = tmp_path / "pts.txt"
+    pointfile.write_text("0.5\n0.25\n0.75\n0.125\nnot-a-number\n")
+    parsed = []
+
+    def spy(text, fmt):
+        parsed.append(text)
+        return parse_coordinate(text, fmt)
+
+    monkeypatch.setattr(hodisc.cli, "parse_coordinate", spy)
+    code, out, err = run(capsys, "disc", "--in", str(pointfile), "--budget-exponent", "2")
+    assert code == EXIT_BUDGET and out == "" and parsed == []
+    assert err == f"budget exceeded: 5 points in {pointfile} exceed budget 2^2\n"
 
 
 def test_disc_file_precision_cap(tmp_path, capsys):

@@ -256,6 +256,19 @@ def test_columns_reject_empty_and_mixed_dimensions():
     assert [c.tolist() for c in cols] == [[4, 3], [8, 0]]
 
 
+@pytest.mark.parametrize("route", [
+    warnock_l2_sq,
+    warnock_l2,
+    lambda pts: warnock_scan(pts, 2),
+    quadrature_oracle_l2,
+    lambda pts: walsh_series_l2(pts, 2),
+])
+def test_zero_dimensional_points_refused(route):
+    # s = 0 is refused by _columns with one message on every public route
+    with pytest.raises(ValueError, match="^zero-dimensional point set$"):
+        route([DyadicPoint((), 0), DyadicPoint((), 0)])
+
+
 def test_mixed_precision_points_are_padded():
     a = DyadicPoint((1,), 1)
     b = DyadicPoint((3,), 2)

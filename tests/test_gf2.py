@@ -118,6 +118,49 @@ def test_rank_nullity_and_kernel_annihilation(rows, cols, data):
         assert matvec(m, v) == 0
 
 
+def _draw_matrix(data, rows: int, cols: int) -> BitMatrix:
+    """A rows x cols matrix of sparse, even or dense rows."""
+    density = data.draw(st.sampled_from(["sparse", "even", "dense"]))
+    masks = []
+    for _ in range(rows):
+        a, b = (data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(2))
+        masks.append({"sparse": a & b, "even": a, "dense": a | b}[density])
+    return BitMatrix.from_rows(masks, cols)
+
+
+@given(st.integers(0, 10), st.integers(0, 16), st.data())
+def test_kernel_basis_is_the_reduced_echelon_basis(rows, cols, data):
+    # a column is free when the earlier columns span it: the span of at most
+    # 10-bit columns is listed outright, with no elimination
+    m = _draw_matrix(data, rows, cols)
+    spanned, free = {0}, []
+    for j, col in enumerate(m.columns()):
+        if col in spanned:
+            free.append(j)
+        else:
+            spanned |= {x ^ col for x in spanned}
+    basis = kernel_basis(m)
+    # one vector per free column, in column order, so length cols - rank
+    assert [v.bit_length() - 1 for v in basis] == free
+    assert len(basis) == cols - (len(spanned).bit_length() - 1)
+    for v in basis:
+        assert matvec(m, v) == 0
+        # no free column but its top bit: the unique RREF representation
+        rest = v ^ 1 << v.bit_length() - 1
+        assert not any(rest >> j & 1 for j in free)
+
+
+@given(st.integers(0, 10), st.integers(0, 16), st.data())
+def test_columns_match_entries(rows, cols, data):
+    m = _draw_matrix(data, rows, cols)
+    columns = m.columns()
+    assert len(columns) == cols
+    for i in range(rows):
+        for j in range(cols):
+            assert columns[j] >> i & 1 == m.entry(i, j)
+    assert all(c >> rows == 0 for c in columns)
+
+
 @given(st.integers(1, 16), st.integers(1, 16), st.data())
 def test_matvec_linearity(rows, cols, data):
     m = BitMatrix.from_rows(

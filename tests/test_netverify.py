@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hodisc.genmat import GeneratingMatrixSet, sequence_net, t_reduced
-from hodisc.gf2 import BitMatrix, rank, xor_rows
+from hodisc.gf2 import BitMatrix, kernel_basis, rank, stack_transposed, xor_rows
 from hodisc.netverify import (
     JAlphaBox,
     VerificationBudgetError,
@@ -379,6 +379,24 @@ def test_dual_budget_on_the_kernel_found():
     with pytest.raises(VerificationBudgetError) as info:
         dual_enumerate(zero, budget_exponent=3)
     assert (info.value.estimate, info.value.budget) == (16, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 8), st.integers(0, 3),
+       st.integers(0, 2**32))
+def test_dual_basis_is_the_stacked_kernel(s, depth, width, extra, seed):
+    # the dependencies among the rows equal the kernel of the zero-padded
+    # stacked transposes, basis and order alike
+    rng = random.Random(seed)
+    mats = tuple(BitMatrix.from_rows([rng.getrandbits(width) for _ in range(depth)], width)
+                 for _ in range(s))
+    r = depth + extra
+    dual = dual_enumerate(GeneratingMatrixSet(s, depth, width, mats, 1, None),
+                          digit_range=r, budget_exponent=64)
+    padded = [BitMatrix.from_rows(mat.data + (0,) * extra, width) for mat in mats]
+    stacked = kernel_basis(stack_transposed(padded))
+    assert dual.basis == tuple(stacked)
+    assert dual.rank == s * r - len(stacked)
 
 
 def test_character_sum_zero_index():
